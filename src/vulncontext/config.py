@@ -56,7 +56,6 @@ class RunConfig:
     alpha: float = 0.5
     k: int = 2
     max_entries: int = 2
-    example_char_budget: int = 1200
     seed: int = 0
     concurrency: int = 1
     transcript_path: str | None = None

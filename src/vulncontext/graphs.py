@@ -26,6 +26,7 @@ CFG, and a 4-edge DFG:
 from __future__ import annotations
 
 import re
+from collections import deque
 from dataclasses import dataclass, field
 
 from pycparser import CParser, c_ast, c_generator
@@ -112,12 +113,6 @@ class CfgGraph:
     nodes: list[CfgNode] = field(default_factory=list)
     edges: list[CfgEdge] = field(default_factory=list)
 
-    def node(self, node_id: int) -> CfgNode:
-        return self._index()[node_id]
-
-    def _index(self) -> dict[int, CfgNode]:
-        return {n.id: n for n in self.nodes}
-
     def out_edges(self, node_id: int) -> list[CfgEdge]:
         return [e for e in self.edges if e.src == node_id]
 
@@ -149,9 +144,6 @@ class DfgEdge:
 class DfgGraph:
     nodes: list[DfgNode] = field(default_factory=list)
     edges: list[DfgEdge] = field(default_factory=list)
-
-    def node(self, node_id: int) -> DfgNode:
-        return {n.id: n for n in self.nodes}[node_id]
 
     def out_edges(self, node_id: int) -> list[DfgEdge]:
         return [e for e in self.edges if e.src == node_id]
@@ -986,18 +978,22 @@ def _build_dfg(
     node_ids = [n.id for n in nodes]
     by_id = {n.id: n for n in nodes}
 
+    param_lines = dict(params)
+
     # Definition sites: (site key, var, cfg node id); parameters sit on entry.
     sites: list[tuple[int, str, int]] = []
-    param_names = []
     for name, _line in params:
         sites.append((len(sites), name, entry.id))
-        param_names.append(name)
+    # Nodes reading each variable, in statement order (node ids ascend).
+    use_sites: dict[str, list[int]] = {}
     for nid in node_ids:
         r = refs.get(nid)
         if r is None:
             continue
         for var in sorted(r.defs):
             sites.append((len(sites), var, nid))
+        for var in r.uses:
+            use_sites.setdefault(var, []).append(nid)
 
     gen: dict[int, set[int]] = {nid: set() for nid in node_ids}
     kill: dict[int, set[int]] = {nid: set() for nid in node_ids}
@@ -1024,9 +1020,11 @@ def _build_dfg(
     out_sets: dict[int, set[int]] = {
         nid: set(gen[nid]) for nid in node_ids
     }
-    worklist = list(node_ids)
+    worklist = deque(node_ids)
+    queued = set(node_ids)
     while worklist:
-        nid = worklist.pop(0)
+        nid = worklist.popleft()
+        queued.discard(nid)
         new_in: set[int] = set()
         for p in preds[nid]:
             new_in |= out_sets[p]
@@ -1035,7 +1033,8 @@ def _build_dfg(
             in_sets[nid] = new_in
             out_sets[nid] = new_out
             for s in succs[nid]:
-                if s not in worklist:
+                if s not in queued:
+                    queued.add(s)
                     worklist.append(s)
 
     # DFG nodes, created lazily as edges demand them.
@@ -1052,7 +1051,7 @@ def _build_dfg(
         return dfg_nodes[key]
 
     def param_node(var: str) -> int:
-        line = dict(params)[var]
+        line = param_lines[var]
         return get_node(
             ("param", var),
             lambda i: DfgNode(i, var, "param", line, f"param:{var}", -1, fn_name),
@@ -1080,12 +1079,8 @@ def _build_dfg(
             dfg.edges.append(DfgEdge(src, dst))
 
     for sid, var, def_nid in sites:
-        is_param = def_nid == entry.id and var in param_names
-        occurrences = sorted(
-            nid
-            for nid in node_ids
-            if nid in refs and var in refs[nid].uses and sid in in_sets[nid]
-        )
+        is_param = def_nid == entry.id and var in param_lines
+        occurrences = [nid for nid in use_sites.get(var, ()) if sid in in_sets[nid]]
         if not occurrences:
             continue
         if is_param:

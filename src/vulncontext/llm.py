@@ -113,7 +113,6 @@ class ScriptedChatClient(ChatClient):
         self.by_hash = dict(by_hash or {})
         self.model_id = model_id
         self.call_log: list[ChatRequest] = []
-        self.retry_count = 0
         self._lock = threading.Lock()
 
     def complete(self, req: ChatRequest) -> ChatResponse:

@@ -252,22 +252,29 @@ def run_triage(
     """Triage every function, appending verdict records in input order.
 
     Already-recorded ids are skipped when resuming, so an interrupted run can
-    be restarted with the same command.  Wall-clock timing goes to the
+    be restarted with the same command; a partial last line left by the
+    interruption is cut off first.  Wall-clock timing goes to the
     returned summary, never into the verdict file, which stays byte-stable
     for a fixed dataset, configuration, and backend.
     """
     out_path = Path(out_path)
     done_ids: set[str] = set()
+    if resume and out_path.exists():
+        data = out_path.read_bytes()
+        complete = data.rfind(b"\n") + 1
+        if complete < len(data):
+            # An interrupted write left a partial last line; cut it so the
+            # next record starts on a line of its own.
+            with open(out_path, "r+b") as handle:
+                handle.truncate(complete)
+        for line in data[:complete].decode("utf-8").split("\n"):
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError:
+                continue
+            if record.get("record") == "verdict":
+                done_ids.add(record["id"])
     fresh = not (resume and out_path.exists() and out_path.stat().st_size > 0)
-    if not fresh:
-        with open(out_path, encoding="utf-8") as handle:
-            for line in handle:
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError:
-                    continue
-                if record.get("record") == "verdict":
-                    done_ids.add(record["id"])
 
     pending = [fn for fn in functions if fn.id not in done_ids]
     started = time.monotonic()

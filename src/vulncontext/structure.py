@@ -20,6 +20,7 @@ summary sentence already accounts for them.
 from __future__ import annotations
 
 import re
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -140,30 +141,32 @@ def filter_cfg(cfg: CfgGraph, level: Level) -> CfgGraph:
     keeps the first branch label found along the chain and remains a back
     edge if any folded hop was one.
     """
-    nodes = {n.id: n for n in cfg.nodes}
-    edges: set[tuple[int, int, str, bool]] = {
-        (e.src, e.dst, e.label, e.back) for e in cfg.edges
-    }
+    # Edges as (src, dst, label, back) tuples, indexed by both endpoints.
+    ins: dict[int, set[tuple]] = defaultdict(set)
+    outs: dict[int, set[tuple]] = defaultdict(set)
+    for e in cfg.edges:
+        edge = (e.src, e.dst, e.label, e.back)
+        outs[e.src].add(edge)
+        ins[e.dst].add(edge)
 
-    for node_id in sorted(nodes):
-        node = nodes[node_id]
-        if node.kind in RETAINED_CFG_KINDS:
-            continue
-        incoming = [e for e in edges if e[1] == node_id and e[0] != node_id]
-        outgoing = [e for e in edges if e[0] == node_id and e[1] != node_id]
-        for src, _, in_label, in_back in incoming:
-            for _, dst, out_label, out_back in outgoing:
+    for node_id in sorted(n.id for n in cfg.nodes if n.kind not in RETAINED_CFG_KINDS):
+        incoming = ins.pop(node_id, set())
+        outgoing = outs.pop(node_id, set())
+        for edge in incoming:
+            outs[edge[0]].discard(edge)
+        for edge in outgoing:
+            ins[edge[1]].discard(edge)
+        # A self-loop on the folded node is in both sets and vanishes with it.
+        for src, _, in_label, in_back in incoming - outgoing:
+            for _, dst, out_label, out_back in outgoing - incoming:
                 label = in_label if in_label in ("True", "False") else out_label
-                edges.add((src, dst, label, in_back or out_back))
-        edges = {e for e in edges if node_id not in (e[0], e[1])}
-        del nodes[node_id]
+                edge = (src, dst, label, in_back or out_back)
+                outs[src].add(edge)
+                ins[dst].add(edge)
 
     out = CfgGraph()
-    out.nodes = [n for n in cfg.nodes if n.id in nodes]
-    out.edges = [
-        CfgEdge(src, dst, label, back)
-        for src, dst, label, back in sorted(edges, key=lambda e: (e[0], e[1], e[2]))
-    ]
+    out.nodes = [n for n in cfg.nodes if n.kind in RETAINED_CFG_KINDS]
+    out.edges = [CfgEdge(*edge) for edge in sorted(e for es in outs.values() for e in es)]
     return out
 
 
@@ -332,21 +335,26 @@ def enumerate_paths(cfg: CfgGraph, budget: int) -> list[CfgPath]:
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
+    by_id = {n.id: n for n in cfg.nodes}
+    out: dict[int, list[CfgEdge]] = defaultdict(list)
+    for e in sorted(cfg.edges, key=_edge_order):  # stable: ties keep edge order
+        out[e.src].append(e)
+    exit_ids: dict[str, set[int]] = defaultdict(set)
+    for n in cfg.exits():
+        exit_ids[n.fn].add(n.id)
     results: list[CfgPath] = []
     for entry in cfg.entries():
-        results.extend(_paths_for_function(cfg, entry, budget))
+        results.extend(_paths_for_function(entry, exit_ids[entry.fn], by_id, out, budget))
     return results
 
 
-def _paths_for_function(cfg: CfgGraph, entry: CfgNode, budget: int) -> list[CfgPath]:
-    exit_ids = {n.id for n in cfg.exits() if n.fn == entry.fn}
-    by_id = {n.id: n for n in cfg.nodes}
-    out: dict[int, list[CfgEdge]] = {}
-    for e in cfg.edges:
-        out.setdefault(e.src, []).append(e)
-    for edges in out.values():
-        edges.sort(key=_edge_order)
-
+def _paths_for_function(
+    entry: CfgNode,
+    exit_ids: set[int],
+    by_id: dict[int, CfgNode],
+    out: dict[int, list[CfgEdge]],
+    budget: int,
+) -> list[CfgPath]:
     discovered: list[CfgPath] = []
 
     def dfs(
@@ -381,22 +389,26 @@ def _paths_for_function(cfg: CfgGraph, entry: CfgNode, budget: int) -> list[CfgP
             )
 
     dfs(entry.id, [entry.id], [], frozenset(), {entry.id})
-
-    if len(discovered) <= budget:
-        return discovered
-    ranked = sorted(
-        range(len(discovered)), key=lambda i: (-discovered[i].score(), i)
-    )[:budget]
-    keep = set(ranked)
-    return [p for i, p in enumerate(discovered) if i in keep]
+    return _best_paths(discovered, budget)
 
 
-def _param_order(dfg: DfgGraph, param: DfgNode) -> tuple[int, str]:
-    targets = [e.dst for e in dfg.out_edges(param.id)]
-    if not targets:
-        return (1 << 30, param.var)
-    first = min({n.id: n for n in dfg.nodes}[t].stmt for t in targets)
-    return (first, param.var)
+def _best_paths(paths: list[CfgPath], budget: int) -> list[CfgPath]:
+    """The ``budget`` highest-scoring paths, earlier ones first on ties, in
+    their original order."""
+    if len(paths) <= budget:
+        return paths
+    keep = set(sorted(range(len(paths)), key=lambda i: (-paths[i].score(), i))[:budget])
+    return [p for i, p in enumerate(paths) if i in keep]
+
+
+def _ordered_params(dfg: DfgGraph) -> list[DfgNode]:
+    """Parameters by the statement of their first use (unused ones last), then name."""
+    stmt_of = {n.id: n.stmt for n in dfg.nodes}
+    unused = 1 << 30
+    first_use: dict[int, int] = {}
+    for e in dfg.edges:
+        first_use[e.src] = min(first_use.get(e.src, unused), stmt_of[e.dst])
+    return sorted(dfg.params(), key=lambda p: (first_use.get(p.id, unused), p.var))
 
 
 def trace_chains(dfg: DfgGraph, budget: int) -> list[DfgChain]:
@@ -428,10 +440,21 @@ def trace_chains(dfg: DfgGraph, budget: int) -> list[DfgChain]:
             if dst not in path:
                 walk(dst, path + [dst])
 
-    params = sorted(dfg.params(), key=lambda p: _param_order(dfg, p))
-    for param in params:
+    for param in _ordered_params(dfg):
         walk(param.id, [param.id])
     return chains
+
+
+def _by_fn(items, fn_of=lambda item: item.fn) -> defaultdict:
+    groups: defaultdict = defaultdict(list)
+    for item in items:
+        groups[fn_of(item)].append(item)
+    return groups
+
+
+def _edges_by_fn(dfg: DfgGraph) -> Counter:
+    fn_of = {n.id: n.fn for n in dfg.nodes}
+    return Counter(fn_of[e.src] or fn_of[e.dst] for e in dfg.edges)
 
 
 def build_salient_views(
@@ -441,94 +464,52 @@ def build_salient_views(
     dfg_filtered: DfgGraph,
     budget: int,
 ) -> SalientViews:
-    """Assemble per-function views from the filtered graphs."""
+    """Assemble per-function views from the filtered graphs.
+
+    Paths are enumerated and chains traced once for the whole unit, then
+    grouped by function.  Paths are enumerated with ``budget + 1``: a
+    function is truncated iff it has more than ``budget`` paths, and the
+    ``budget`` best of its best ``budget + 1`` are its best ``budget``
+    overall, since both selections rank by score and then discovery order.
+    """
     ast_views = aggregate_ast(ast_filtered)
+    fn_names = [v.name for v in ast_views] + [n.fn for n in bundle.cfg.entries()]
+    fn_names = list(dict.fromkeys(fn_names))  # first occurrence of each name
+
+    paths = _by_fn(enumerate_paths(cfg_filtered, budget + 1), lambda p: p.nodes[0].fn)
+    chains = _by_fn(trace_chains(dfg_filtered, budget), lambda c: c.nodes[0].fn)
+    params = _by_fn(_ordered_params(dfg_filtered))
+    post_nodes = _by_fn(cfg_filtered.nodes)
+    pre_counts = Counter(n.fn for n in bundle.cfg.nodes)
+    edges_total = _edges_by_fn(bundle.dfg)
+    edges_retained = _edges_by_fn(dfg_filtered)
 
     cfg_views: list[CfgFunctionView] = []
     dfg_views: list[DfgFunctionView] = []
-    fn_names = [v.name for v in ast_views]
-    seen = set(fn_names)
-    for n in bundle.cfg.entries():
-        if n.fn not in seen:
-            fn_names.append(n.fn)
-            seen.add(n.fn)
-
-    all_paths = {fn: [] for fn in fn_names}
-    for path in enumerate_paths(cfg_filtered, budget):
-        all_paths.setdefault(path.nodes[0].fn, []).append(path)
-
     for fn in fn_names:
-        pre_nodes = [n for n in bundle.cfg.nodes if n.fn == fn]
-        post_nodes = [n for n in cfg_filtered.nodes if n.fn == fn]
-        branch_nodes = [n for n in post_nodes if n.kind in ("branch", "loop")]
-        paths = all_paths.get(fn, [])
-        # Count the true number of paths to know whether the budget cut any.
-        truncated = _budget_truncated(cfg_filtered, fn, budget)
+        nodes = post_nodes[fn]
         cfg_views.append(
             CfgFunctionView(
                 name=fn,
-                retained=len(post_nodes),
-                total=len(pre_nodes),
-                branches=sum(1 for n in post_nodes if n.kind == "branch"),
-                calls=sum(1 for n in post_nodes if n.kind == "call"),
-                paths=paths,
-                truncated=truncated,
-                branch_nodes=branch_nodes,
+                retained=len(nodes),
+                total=pre_counts[fn],
+                branches=sum(1 for n in nodes if n.kind == "branch"),
+                calls=sum(1 for n in nodes if n.kind == "call"),
+                paths=_best_paths(paths[fn], budget),
+                truncated=len(paths[fn]) > budget,
+                branch_nodes=[n for n in nodes if n.kind in ("branch", "loop")],
             )
         )
-
-        pre_edges = [
-            e
-            for e in bundle.dfg.edges
-            if _dfg_edge_fn(bundle.dfg, e) == fn
-        ]
-        post_edges = [
-            e for e in dfg_filtered.edges if _dfg_edge_fn(dfg_filtered, e) == fn
-        ]
-        params = sorted(
-            (n for n in dfg_filtered.params() if n.fn == fn),
-            key=lambda p: _param_order(dfg_filtered, p),
-        )
-        fn_dfg = _project_dfg(dfg_filtered, fn)
-        chains = trace_chains(fn_dfg, budget)
         dfg_views.append(
             DfgFunctionView(
                 name=fn,
-                edges_retained=len(post_edges),
-                edges_total=len(pre_edges),
-                params=params,
-                chains=chains,
+                edges_retained=edges_retained[fn],
+                edges_total=edges_total[fn],
+                params=params[fn],
+                chains=chains[fn],
             )
         )
     return SalientViews(ast_views=ast_views, cfg_views=cfg_views, dfg_views=dfg_views)
-
-
-def _dfg_edge_fn(dfg: DfgGraph, edge) -> str:
-    by_id = {n.id: n for n in dfg.nodes}
-    return by_id[edge.src].fn or by_id[edge.dst].fn
-
-
-def _project_dfg(dfg: DfgGraph, fn: str) -> DfgGraph:
-    out = DfgGraph()
-    out.nodes = [n for n in dfg.nodes if n.fn == fn]
-    ids = {n.id for n in out.nodes}
-    out.edges = [e for e in dfg.edges if e.src in ids and e.dst in ids]
-    return out
-
-
-def _budget_truncated(cfg: CfgGraph, fn: str, budget: int) -> bool:
-    entry = next((n for n in cfg.entries() if n.fn == fn), None)
-    if entry is None:
-        return False
-    sub = CfgGraph()
-    sub.nodes = [n for n in cfg.nodes if n.fn == fn]
-    sub.edges = [
-        e
-        for e in cfg.edges
-        if e.src in {n.id for n in sub.nodes} and e.dst in {n.id for n in sub.nodes}
-    ]
-    count = len(_paths_for_function(sub, entry, _MAX_ENUMERATED_PATHS))
-    return count > budget
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from fixtures import (
     scripted_rules,
 )
 
+from vulncontext.datasets import load_verdicts
 from vulncontext.errors import (
     EncoderUnavailableError,
     LlmTimeoutError,
@@ -293,6 +294,22 @@ def test_run_triage_resumes_past_recorded_ids(tmp_path, toy_index):
         if json.loads(line).get("record") == "verdict"
     ]
     assert ids == [fn.id for fn in functions]
+
+
+def test_resume_cuts_a_torn_last_line(tmp_path, toy_index):
+    functions = _dataset(3)
+    out = tmp_path / "v.jsonl"
+    meta = {"config_fingerprint": "x"}
+    run_triage(functions[:2], toy_index, ScriptedChatClient(rules=scripted_rules()), out, meta=meta)
+    lines = out.read_bytes().splitlines(keepends=True)
+    assert len(lines) == 3  # meta, then two verdicts
+    # An interrupted write: the second verdict stops halfway, with no newline.
+    out.write_bytes(lines[0] + lines[1] + lines[2][: len(lines[2]) // 2])
+    summary = run_triage(functions, toy_index, ScriptedChatClient(rules=scripted_rules()), out, meta=meta)
+    assert summary["skipped"] == 1
+    assert list(load_verdicts(out)) == [fn.id for fn in functions]
+    assert out.read_bytes().startswith(lines[0] + lines[1])
+    assert out.read_text().count('"record": "meta"') == 1
 
 
 def test_run_triage_records_judgment_failures_and_continues(tmp_path, toy_index):

@@ -4,7 +4,7 @@ import re
 
 import pytest
 
-from fixtures import GOLDEN_T_AST, GOLDEN_T_CFG, GOLDEN_T_DFG
+from fixtures import FIXTURE_CORPUS, GOLDEN_T_AST, GOLDEN_T_CFG, GOLDEN_T_DFG
 
 from vulncontext.graphs import (
     CfgEdge,
@@ -16,12 +16,14 @@ from vulncontext.graphs import (
     SourceFunction,
     parse,
 )
+from vulncontext import structure
 from vulncontext.structure import (
     LEVEL_BUDGETS,
     NOISE_AST_KINDS,
     TEMPLATE_PATTERNS,
     Level,
     aggregate_ast,
+    build_salient_views,
     enumerate_paths,
     filter_ast,
     filter_cfg,
@@ -337,16 +339,31 @@ def test_two_sequential_ifs_match_brute_force():
 
 
 def test_paths_obey_budget_and_endpoints(corpus):
+    # Besides the level budget, every function is cut just below, exactly
+    # at, and just above its oracle path count; the view's truncation flag
+    # must say whether the budget cut any path.
     for fn in corpus:
         bundle = parse(fn)
         for level in LEVELS:
+            ast_f = filter_ast(bundle.ast, level)
             filtered = filter_cfg(bundle.cfg, level)
-            budget = LEVEL_BUDGETS[level]
-            paths = enumerate_paths(filtered, budget)
-            assert len(paths) <= budget, fn.id
-            for path in paths:
-                assert path.nodes[0].kind == "entry"
-                assert path.nodes[-1].kind == "exit"
+            dfg_f = filter_dfg(bundle.dfg, level)
+            entry = filtered.entries()[0]
+            oracle = brute_force_paths(filtered, entry.id, {n.id for n in filtered.exits()})
+            budgets = {LEVEL_BUDGETS[level], len(oracle) - 1, len(oracle), len(oracle) + 1} - {0}
+            for budget in sorted(budgets):
+                paths = enumerate_paths(filtered, budget)
+                assert len(paths) <= budget, fn.id
+                for path in paths:
+                    assert path.nodes[0].kind == "entry"
+                    assert path.nodes[-1].kind == "exit"
+                (view,) = build_salient_views(bundle, ast_f, filtered, dfg_f, budget).cfg_views
+                assert view.truncated == (len(oracle) > budget), (fn.id, level, budget)
+                assert _ids(view.paths) == _ids(paths), (fn.id, level, budget)
+
+
+def _ids(paths) -> list[tuple[int, ...]]:
+    return [tuple(n.id for n in p.nodes) for p in paths]
 
 
 def test_enumerate_matches_oracle_when_under_budget(corpus):
@@ -380,8 +397,62 @@ def test_budget_selection_prefers_branch_and_call_heavy_paths():
     got = enumerate_paths(filtered, 3)
     assert len(got) == 3
     # The all-True path (3 branches + 3 calls) must survive the cut.
-    best = max(full, key=lambda seq: sum(1 for nid in seq if filtered.node(nid).kind in ("branch", "call")))
+    kind = {n.id: n.kind for n in filtered.nodes}
+    best = max(full, key=lambda seq: sum(1 for nid in seq if kind[nid] in ("branch", "call")))
     assert best in [tuple(n.id for n in p.nodes) for p in got]
+
+
+def _views_by_name(code: str, level: Level, budget: int) -> dict[str, tuple]:
+    bundle = parse(SourceFunction(id="unit", code=code))
+    views = build_salient_views(
+        bundle,
+        filter_ast(bundle.ast, level),
+        filter_cfg(bundle.cfg, level),
+        filter_dfg(bundle.dfg, level),
+        budget,
+    )
+    return {
+        cv.name: (
+            (cv.retained, cv.total, cv.branches, cv.calls, cv.truncated),
+            [n.label for n in cv.branch_nodes],
+            [([n.label for n in p.nodes], p.taken) for p in cv.paths],
+            (dv.edges_retained, dv.edges_total),
+            [n.label for n in dv.params],
+            [([n.label for n in c.nodes], c.truncated) for c in dv.chains],
+        )
+        for cv, dv in zip(views.cfg_views, views.dfg_views)
+    }
+
+
+def test_two_function_unit_views_match_each_function_alone():
+    codes = dict(FIXTURE_CORPUS)
+    first, second = codes["mixed_flow"], codes["switch_dispatch"]
+    for level in LEVELS:
+        for budget in (1, 2, 3, LEVEL_BUDGETS[level]):
+            unit = _views_by_name(first + "\n" + second, level, budget)
+            alone = {**_views_by_name(first, level, budget), **_views_by_name(second, level, budget)}
+            assert list(unit) == list(alone)
+            assert unit == alone, (level, budget)
+
+
+def test_paths_are_enumerated_once_per_function(monkeypatch):
+    codes = dict(FIXTURE_CORPUS)
+    unit = SourceFunction(
+        id="unit",
+        code="\n".join(codes[name] for name in ("mixed_flow", "switch_dispatch", "goto_cleanup")),
+    )
+    calls = []
+    original = structure._paths_for_function
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(structure, "_paths_for_function", counting)
+    for level in LEVELS:
+        calls.clear()
+        generate_structural_context(unit, level)
+        assert len(calls) == 3, level
 
 
 # -- chain tracing ------------------------------------------------------------
