@@ -82,7 +82,6 @@ def _build_parser() -> _Parser:
     )
     kb.add_argument("--corpus", required=True, help="path to the CWE export file")
     kb.add_argument("--out", required=True, help="path for the index file")
-    kb.add_argument("--alpha", type=float, default=None, help="dense/sparse fusion weight in [0,1]")
     kb.add_argument("--encoder-dim", type=int, default=64, help="dense vector dimension")
     kb.add_argument("--encoder-seed", type=int, default=0, help="encoder projection seed")
     kb.add_argument("--config", default=None, help="JSON config file")
@@ -161,10 +160,10 @@ def _config_from(args, **overrides) -> RunConfig:
 
 
 def _cmd_build_kb(args) -> int:
-    config = _config_from(args, alpha=args.alpha)
+    config = _config_from(args)
     entries = load_cwe_corpus(args.corpus)
     encoder = ReferenceEncoder(dim=args.encoder_dim, seed=args.encoder_seed)
-    index = build_knowledge_base(entries, encoder=encoder, alpha=config.alpha)
+    index = build_knowledge_base(entries, encoder=encoder)
     index.save(args.out, meta=config.meta())
     print(f"indexed {len(index)} weakness entries -> {args.out}")
     return 0

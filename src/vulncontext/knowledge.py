@@ -308,7 +308,6 @@ class KnowledgeIndex:
     dense: np.ndarray  # shape (n, dim)
     sparse: list[dict[str, float]]
     encoder: ReferenceEncoder
-    alpha: float = DEFAULT_ALPHA
     fingerprint: str = ""
 
     def __post_init__(self):
@@ -318,7 +317,7 @@ class KnowledgeIndex:
     def __len__(self) -> int:
         return len(self.entries)
 
-    def score(self, query: RetrievalQuery | str, entry_index: int, alpha: float | None = None) -> float:
+    def score(self, query: RetrievalQuery | str, entry_index: int, alpha: float = DEFAULT_ALPHA) -> float:
         text = query.text if isinstance(query, RetrievalQuery) else query
         q_dense, q_sparse = self._encode_query(text)
         return hybrid_score(
@@ -326,7 +325,7 @@ class KnowledgeIndex:
             q_sparse,
             self.dense[entry_index],
             self.sparse[entry_index],
-            self.alpha if alpha is None else alpha,
+            alpha,
         )
 
     def _encode_query(self, text: str) -> tuple[np.ndarray, dict[str, float]]:
@@ -341,18 +340,17 @@ class KnowledgeIndex:
         self,
         query: RetrievalQuery | str,
         k: int = DEFAULT_TOP_K,
-        alpha: float | None = None,
+        alpha: float = DEFAULT_ALPHA,
     ) -> list[tuple[KnowledgeEntry, float]]:
         """Exhaustively score the corpus; descending score, CWE id breaks ties."""
         if not self.entries:
             raise EmptyCorpusError("cannot retrieve from an empty index")
         text = query.text if isinstance(query, RetrievalQuery) else query
-        effective_alpha = self.alpha if alpha is None else alpha
         q_dense, q_sparse = self._encode_query(text)
         scored = [
             (
                 entry,
-                hybrid_score(q_dense, q_sparse, self.dense[i], self.sparse[i], effective_alpha),
+                hybrid_score(q_dense, q_sparse, self.dense[i], self.sparse[i], alpha),
             )
             for i, entry in enumerate(self.entries)
         ]
@@ -372,7 +370,6 @@ class KnowledgeIndex:
                 "seed": self.encoder.seed,
             },
             "fingerprint": self.fingerprint,
-            "alpha": self.alpha,
             "entries": [
                 {
                     "cwe_id": e.cwe_id,
@@ -412,7 +409,6 @@ class KnowledgeIndex:
             else np.zeros((0, spec["dim"])),
             sparse=[dict(s) for s in payload["sparse"]],
             encoder=encoder,
-            alpha=payload.get("alpha", DEFAULT_ALPHA),
             fingerprint=payload["fingerprint"],
         )
         if encoder.fingerprint != index.fingerprint:
@@ -426,7 +422,6 @@ class KnowledgeIndex:
 def build_knowledge_base(
     entries: list[KnowledgeEntry],
     encoder: ReferenceEncoder | None = None,
-    alpha: float = DEFAULT_ALPHA,
 ) -> KnowledgeIndex:
     """Encode every passage with both representations and build the index."""
     encoder = encoder or ReferenceEncoder()
@@ -442,7 +437,6 @@ def build_knowledge_base(
         dense=dense,
         sparse=sparse_rows,
         encoder=encoder,
-        alpha=alpha,
     )
 
 

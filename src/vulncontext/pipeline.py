@@ -28,6 +28,7 @@ from .errors import (
 )
 from .graphs import SourceFunction
 from .knowledge import (
+    DEFAULT_ALPHA,
     DEFAULT_MAX_ENTRIES,
     DEFAULT_TOP_K,
     KnowledgeIndex,
@@ -35,12 +36,7 @@ from .knowledge import (
     generate_queries,
 )
 from .llm import ChatClient, ChatRequest, prompt_sha256
-from .prompts import (
-    JUDGMENT_TEMPLATE,
-    fill_explanation_prompt,
-    fill_judgment_prompt,
-    fill_query_prompt,
-)
+from .prompts import fill_explanation_prompt, fill_judgment_prompt, fill_query_prompt
 from .semantic import generate_explanation
 from .structure import Level, generate_structural_context
 
@@ -65,12 +61,8 @@ _PARSE_RETRY_REMINDER = "Answer with exactly 'Verdict: Yes' or 'Verdict: No'."
 
 @dataclass
 class Instruction:
-    """The four-slot judgment prompt, split into its fixed sections."""
+    """The four-slot judgment prompt: its slot values in template order."""
 
-    role_spec: str
-    input_description: str
-    rules: str
-    output_format: str
     slots: dict[str, str]
 
     @property
@@ -101,12 +93,7 @@ def assemble_instruction(code: str, control_info: str, knowledge: str, explain: 
     """
     if not code:
         raise ValueError("code slot must be non-empty")
-    sections = JUDGMENT_TEMPLATE.split("\n\n")
     return Instruction(
-        role_spec=sections[0],
-        input_description=sections[1],
-        rules=next(s for s in sections if s.startswith("Please analyze")),
-        output_format=next(s for s in sections if s.startswith("Return the final")),
         slots={
             "code": code,
             "control_info": control_info or DEGRADED_CONTROL,
@@ -148,7 +135,7 @@ def triage(
     index: KnowledgeIndex | None,
     llm: ChatClient,
     level: Level = Level.C,
-    alpha: float | None = None,
+    alpha: float = DEFAULT_ALPHA,
     k: int = DEFAULT_TOP_K,
     max_entries: int = DEFAULT_MAX_ENTRIES,
 ) -> Verdict:
@@ -242,7 +229,7 @@ def run_triage(
     llm: ChatClient,
     out_path: str | Path,
     level: Level = Level.C,
-    alpha: float | None = None,
+    alpha: float = DEFAULT_ALPHA,
     k: int = DEFAULT_TOP_K,
     max_entries: int = DEFAULT_MAX_ENTRIES,
     workers: int = 1,
@@ -294,6 +281,9 @@ def run_triage(
                 json.dumps({"record": "meta", **meta}, ensure_ascii=False, sort_keys=True)
                 + "\n"
             )
+        # One worker stays on this thread: on glibc a pool thread allocates
+        # from its own malloc arena, whose peak adds to the main arena's; on
+        # the large-function benchmark workload that raised peak RSS 14-70%.
         if workers <= 1:
             outcomes = map(work, pending)
             for fn, outcome in zip(pending, outcomes):

@@ -226,9 +226,7 @@ class AstFunctionView:
 class CfgPath:
     nodes: list[CfgNode]
     taken: list[str | None]  # edge label leaving nodes[i]; None for the last
-
-    def score(self) -> int:
-        return sum(1 for n in self.nodes if n.kind in ("branch", "call"))
+    score: int  # branch and call nodes on the path, repeats included
 
 
 @dataclass
@@ -331,7 +329,9 @@ def enumerate_paths(cfg: CfgGraph, budget: int) -> list[CfgPath]:
     sequential ones; each back edge is traversed at most once per path, so a
     loop contributes its zero- and one-iteration shapes.  When more paths
     exist than the budget allows, the paths that carry the most branch and
-    call nodes are kept; the returned list preserves discovery order.
+    call nodes are kept, the earlier one on ties; only the first
+    ``_MAX_ENUMERATED_PATHS`` paths in discovery order are ranked.  The
+    returned list preserves discovery order.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
@@ -355,50 +355,55 @@ def _paths_for_function(
     out: dict[int, list[CfgEdge]],
     budget: int,
 ) -> list[CfgPath]:
-    discovered: list[CfgPath] = []
+    # One path, extended before each descent and cut back after it.  A node
+    # reached again through a back edge is already on the path, so only the
+    # step that put a node on the path takes it off.
+    kept: list[CfgPath] = []
+    found = 0
+    floor = 0  # the weakest kept score; read only once ``budget`` are kept
+    node_seq = [entry.id]
+    label_seq: list[str | None] = []
+    on_path = {entry.id}
+    used_back: set[tuple[int, int]] = set()
 
-    def dfs(
-        node_id: int,
-        node_seq: list[int],
-        label_seq: list[str],
-        used_back: frozenset,
-        on_path: set[int],
-    ):
-        if len(discovered) >= _MAX_ENUMERATED_PATHS:
+    def dfs(node_id: int, score: int):
+        nonlocal found, floor
+        if found >= _MAX_ENUMERATED_PATHS:
             return
         if node_id in exit_ids:
-            nodes = [by_id[i] for i in node_seq]
-            discovered.append(CfgPath(nodes=nodes, taken=list(label_seq) + [None]))
+            found += 1
+            if len(kept) < budget or score > floor:
+                kept.append(CfgPath([by_id[i] for i in node_seq], label_seq + [None], score))
+                if len(kept) > budget:
+                    _drop_weakest(kept)
+                floor = min(p.score for p in kept)
             return
         for idx, e in enumerate(out.get(node_id, ())):
+            new = e.dst not in on_path
             if e.back:
-                edge_key = (node_id, idx)
-                if edge_key in used_back:
+                if (node_id, idx) in used_back:
                     continue
-                next_back = used_back | {edge_key}
-            elif e.dst in on_path:
+                used_back.add((node_id, idx))
+            elif not new:
                 continue
-            else:
-                next_back = used_back
-            dfs(
-                e.dst,
-                node_seq + [e.dst],
-                label_seq + [e.label],
-                next_back,
-                on_path | {e.dst},
-            )
+            node_seq.append(e.dst)
+            label_seq.append(e.label)
+            on_path.add(e.dst)
+            dfs(e.dst, score + (by_id[e.dst].kind in ("branch", "call")))
+            node_seq.pop()
+            label_seq.pop()
+            if new:
+                on_path.discard(e.dst)
+            if e.back:
+                used_back.discard((node_id, idx))
 
-    dfs(entry.id, [entry.id], [], frozenset(), {entry.id})
-    return _best_paths(discovered, budget)
+    dfs(entry.id, 0)
+    return kept
 
 
-def _best_paths(paths: list[CfgPath], budget: int) -> list[CfgPath]:
-    """The ``budget`` highest-scoring paths, earlier ones first on ties, in
-    their original order."""
-    if len(paths) <= budget:
-        return paths
-    keep = set(sorted(range(len(paths)), key=lambda i: (-paths[i].score(), i))[:budget])
-    return [p for i, p in enumerate(paths) if i in keep]
+def _drop_weakest(paths: list[CfgPath]) -> None:
+    """Remove the lowest-scoring path; of equal scores, the latest one."""
+    del paths[min(range(len(paths)), key=lambda i: (paths[i].score, -i))]
 
 
 def _ordered_params(dfg: DfgGraph) -> list[DfgNode]:
@@ -468,9 +473,10 @@ def build_salient_views(
 
     Paths are enumerated and chains traced once for the whole unit, then
     grouped by function.  Paths are enumerated with ``budget + 1``: a
-    function is truncated iff it has more than ``budget`` paths, and the
-    ``budget`` best of its best ``budget + 1`` are its best ``budget``
-    overall, since both selections rank by score and then discovery order.
+    function is truncated iff it has more than ``budget`` paths, and
+    dropping the weakest of its best ``budget + 1`` leaves its best
+    ``budget`` overall, since both selections rank by score and then
+    discovery order.
     """
     ast_views = aggregate_ast(ast_filtered)
     fn_names = [v.name for v in ast_views] + [n.fn for n in bundle.cfg.entries()]
@@ -488,6 +494,9 @@ def build_salient_views(
     dfg_views: list[DfgFunctionView] = []
     for fn in fn_names:
         nodes = post_nodes[fn]
+        truncated = len(paths[fn]) > budget
+        if truncated:
+            _drop_weakest(paths[fn])
         cfg_views.append(
             CfgFunctionView(
                 name=fn,
@@ -495,8 +504,8 @@ def build_salient_views(
                 total=pre_counts[fn],
                 branches=sum(1 for n in nodes if n.kind == "branch"),
                 calls=sum(1 for n in nodes if n.kind == "call"),
-                paths=_best_paths(paths[fn], budget),
-                truncated=len(paths[fn]) > budget,
+                paths=paths[fn],
+                truncated=truncated,
                 branch_nodes=[n for n in nodes if n.kind in ("branch", "loop")],
             )
         )

@@ -142,6 +142,18 @@ def test_round_trip_preserves_scores(tmp_path, toy_index):
             assert all(abs(a - b) <= 1e-9 for a, b in zip(before, after))
 
 
+def test_index_with_stored_alpha_still_loads(tmp_path, toy_index):
+    # Older indexes stored a fusion weight that retrieval never read.
+    path = tmp_path / "kb.idx"
+    toy_index.save(path)
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    assert "alpha" not in payload
+    path.write_text(json.dumps({**payload, "alpha": 0.9}), encoding="utf-8")
+    reloaded = KnowledgeIndex.load(path)
+    query = "buffer overflow write"
+    assert reloaded.retrieve_top_k(query, k=5) == toy_index.retrieve_top_k(query, k=5)
+
+
 def test_encoder_mismatch_is_detected(tmp_path, toy_index):
     path = tmp_path / "kb.idx"
     toy_index.save(path)

@@ -338,6 +338,30 @@ def test_two_sequential_ifs_match_brute_force():
     assert [tuple(n.id for n in p.nodes) for p in paths] == oracle
 
 
+def test_node_revisited_through_a_back_edge_stays_on_the_path():
+    # After the back edge 2->1 is walked and undone, loop node 1 is still on
+    # the path from its first visit, so the later hop 3->1 is refused.
+    cfg = CfgGraph()
+    cfg.nodes = [
+        CfgNode(0, "entry", "Entry", 1, "f"),
+        CfgNode(1, "loop", "while(c)", 2, "f"),
+        CfgNode(2, "call", "call g", 3, "f"),
+        CfgNode(3, "call", "call h", 4, "f"),
+        CfgNode(4, "exit", "Exit", 5, "f"),
+    ]
+    cfg.edges = [
+        CfgEdge(0, 1),
+        CfgEdge(1, 2, "True"),
+        CfgEdge(1, 4, "False"),
+        CfgEdge(2, 1, back=True),
+        CfgEdge(2, 3),
+        CfgEdge(3, 1),
+    ]
+    oracle = brute_force_paths(cfg, 0, {4})
+    assert oracle == [(0, 1, 2, 1, 4), (0, 1, 4)]
+    assert _ids(enumerate_paths(cfg, 10)) == oracle
+
+
 def test_paths_obey_budget_and_endpoints(corpus):
     # Besides the level budget, every function is cut just below, exactly
     # at, and just above its oracle path count; the view's truncation flag
@@ -400,6 +424,59 @@ def test_budget_selection_prefers_branch_and_call_heavy_paths():
     kind = {n.id: n.kind for n in filtered.nodes}
     best = max(full, key=lambda seq: sum(1 for nid in seq if kind[nid] in ("branch", "call")))
     assert best in [tuple(n.id for n in p.nodes) for p in got]
+    for path in got:
+        assert path.score == sum(1 for n in path.nodes if n.kind in ("branch", "call"))
+
+
+def _oracle_selection(filtered: CfgGraph, budget: int) -> tuple[int, list[tuple[int, ...]]]:
+    """Path count, and the ``budget`` best of the first 4096 paths by
+    (-score, discovery index), in discovery order."""
+    entry = filtered.entries()[0]
+    full = brute_force_paths(filtered, entry.id, {n.id for n in filtered.exits()})
+    ranked = full[:4096]
+    kind = {n.id: n.kind for n in filtered.nodes}
+
+    def score(seq):
+        return sum(1 for nid in seq if kind[nid] in ("branch", "call"))
+
+    keep = sorted(range(len(ranked)), key=lambda i: (-score(ranked[i]), i))[:budget]
+    return len(full), [ranked[i] for i in sorted(keep)]
+
+
+def test_budget_selection_matches_oracle(corpus):
+    for fn in corpus:
+        bundle = parse(fn)
+        for level in LEVELS:
+            filtered = filter_cfg(bundle.cfg, level)
+            count, _ = _oracle_selection(filtered, 1)
+            for budget in range(1, count):
+                _, expected = _oracle_selection(filtered, budget)
+                assert _ids(enumerate_paths(filtered, budget)) == expected, (fn.id, level, budget)
+
+
+def test_paths_past_the_enumeration_cap_are_never_kept():
+    # 13 sequential ifs give 8192 paths.  The first if calls only in its
+    # else branch, which depth-first order takes second, so every path that
+    # carries that call is found after the first 4096 and is never ranked.
+    ifs = ["if (a0) { x = 1; } else { f0(); }"]
+    ifs += [f"if (a{i}) {{ f{i}(); }}" for i in range(1, 13)]
+    params = ", ".join(f"int a{i}" for i in range(13))
+    code = f"void wide({params}) {{\n    int x = 0;\n    " + "\n    ".join(ifs) + "\n}\n"
+    bundle = parse(SourceFunction(id="wide", code=code))
+    ast_f = filter_ast(bundle.ast, Level.C)
+    filtered = filter_cfg(bundle.cfg, Level.C)
+    dfg_f = filter_dfg(bundle.dfg, Level.C)
+    first_if = min((n for n in filtered.nodes if n.kind == "branch"), key=lambda n: n.line)
+    for budget in (1, 16, 17):
+        count, expected = _oracle_selection(filtered, budget)
+        assert count == 8192
+        paths = enumerate_paths(filtered, budget)
+        assert _ids(paths) == expected, budget
+        for path in paths:
+            assert path.taken[[n.id for n in path.nodes].index(first_if.id)] == "True"
+        (view,) = build_salient_views(bundle, ast_f, filtered, dfg_f, budget).cfg_views
+        assert view.truncated
+        assert _ids(view.paths) == expected, budget
 
 
 def _views_by_name(code: str, level: Level, budget: int) -> dict[str, tuple]:
