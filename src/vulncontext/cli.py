@@ -111,7 +111,9 @@ def _build_parser() -> _Parser:
     an.add_argument("--level", choices=["A", "B", "C"], default=None)
     an.add_argument("--config", default=None, help="JSON config file")
     an.add_argument("--workers", type=int, default=None, help="concurrent functions")
-    an.add_argument("--no-resume", action="store_true", help="ignore existing output records")
+    an.add_argument(
+        "--no-resume", action="store_true", help="start the output file over instead of resuming"
+    )
 
     ev = sub.add_parser(
         "evaluate",

@@ -1,16 +1,17 @@
 """Run configuration: defaults, file loading, precedence, fingerprinting.
 
-Defaults mirror the reference inference setup: level C granularity, two
-retrieved knowledge entries, temperature 0.7, top-p 1.0, zero penalties, and
-a 300 second timeout.  Precedence is flags over config file over defaults.
-Secrets never live in the file; the API key is named by environment variable.
+Defaults mirror the reference setup: level C granularity and two retrieved
+knowledge entries here, the inference defaults in ``llm.LlmSettings``.
+Precedence is flags over config file over defaults.  Outside input must name
+a known setting and carry a value of its type.  Secrets never live in the
+file; the API key is named by environment variable.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 
 from . import __version__
@@ -18,10 +19,8 @@ from .errors import ConfigError
 from .llm import (
     BoundedClient,
     ChatClient,
-    ChatRequest,
-    ChatResponse,
     HttpChatClient,
-    RetryPolicy,
+    LlmSettings,
     ScriptedChatClient,
     TranscribingClient,
     default_offline_rules,
@@ -31,23 +30,6 @@ from .structure import Level
 __all__ = ["LlmSettings", "RunConfig", "load_config", "build_client"]
 
 SCHEMA_VERSION = 1
-
-
-@dataclass
-class LlmSettings:
-    kind: str = "scripted"  # scripted | http
-    model: str = "offline-script"
-    endpoint: str = ""
-    api_key_env: str = "VULNCONTEXT_API_KEY"
-    temperature: float = 0.7
-    top_p: float = 1.0
-    frequency_penalty: float = 0.0
-    presence_penalty: float = 0.0
-    timeout: float = 300.0
-    max_retries: int = 3
-    backoff_s: float = 1.0
-    max_in_flight: int = 4
-    script_path: str | None = None
 
 
 @dataclass
@@ -124,13 +106,25 @@ def _apply(config: RunConfig, payload: dict, source: str) -> None:
             if not isinstance(value, dict):
                 raise ConfigError(f"{source}: llm must be an object")
             for sub_key, sub_value in value.items():
-                if not hasattr(config.llm, sub_key):
-                    raise ConfigError(f"{source}: unknown llm setting {sub_key!r}")
-                setattr(config.llm, sub_key, sub_value)
-        elif hasattr(config, key):
-            setattr(config, key, value)
+                _set(config.llm, sub_key, sub_value, source, f"llm.{sub_key}")
         else:
-            raise ConfigError(f"{source}: unknown setting {key!r}")
+            _set(config, key, value, source, key)
+
+
+def _set(target, key: str, value, source: str, name: str) -> None:
+    """Set a dataclass field from outside input; its default gives the type."""
+    default = next((f.default for f in fields(target) if f.name == key), MISSING)
+    if default is MISSING:
+        raise ConfigError(f"{source}: unknown setting {name!r}")
+    if default is None:
+        fits = value is None or isinstance(value, str)
+    elif isinstance(default, float):
+        fits = isinstance(value, (int, float)) and not isinstance(value, bool)
+    else:
+        fits = type(value) is type(default)
+    if not fits:
+        raise ConfigError(f"{source}: setting {name!r} has the wrong type: {value!r}")
+    setattr(target, key, value)
 
 
 def _load_script_rules(path: str) -> tuple[list[tuple[str, object]], str | None]:
@@ -140,27 +134,6 @@ def _load_script_rules(path: str) -> tuple[list[tuple[str, object]], str | None]
         raise ConfigError(f"cannot read script file {path}: {exc}") from exc
     rules = [(r["match"], r["response"]) for r in payload.get("rules", [])]
     return rules, payload.get("default")
-
-
-class _ParamsClient(ChatClient):
-    """Applies the configured inference parameters to every request."""
-
-    def __init__(self, inner: ChatClient, settings: LlmSettings):
-        self.inner = inner
-        self.settings = settings
-
-    def complete(self, req: ChatRequest) -> ChatResponse:
-        s = self.settings
-        return self.inner.complete(
-            replace(
-                req,
-                temperature=s.temperature,
-                top_p=s.top_p,
-                frequency_penalty=s.frequency_penalty,
-                presence_penalty=s.presence_penalty,
-                timeout=s.timeout,
-            )
-        )
 
 
 def build_client(config: RunConfig) -> ChatClient:
@@ -175,13 +148,8 @@ def build_client(config: RunConfig) -> ChatClient:
             rules=rules, default=default, model_id=settings.model
         )
     else:
-        client = HttpChatClient(
-            endpoint=settings.endpoint,
-            model=settings.model,
-            api_key_env=settings.api_key_env,
-            retry=RetryPolicy(attempts=settings.max_retries, backoff_s=settings.backoff_s),
-        )
+        client = HttpChatClient(settings)
     client = BoundedClient(client, max_in_flight=settings.max_in_flight)
     if config.transcript_path:
-        client = TranscribingClient(client, config.transcript_path)
-    return _ParamsClient(client, settings)
+        client = TranscribingClient(client, config.transcript_path, settings)
+    return client

@@ -62,7 +62,9 @@ class SourceFunction:
     label: str | None = None
 
     def __post_init__(self):
-        if not self.code or not self.code.strip():
+        if not isinstance(self.code, str) or not isinstance(self.language, str):
+            raise ValueError("SourceFunction.code and language must be strings")
+        if not self.code.strip():
             raise ValueError("SourceFunction.code must be non-empty")
         if self.label is not None and self.label not in VALID_LABELS:
             raise ValueError(f"label must be one of {VALID_LABELS}, got {self.label!r}")
@@ -788,9 +790,8 @@ class _CfgBuilder:
         loop = self._node("loop", f"do-while({_render(node.cond)})", _line_of(node), refs)
         self._wire(body_exits, loop.id)
         self._wire(cont.deferred, loop.id)
-        body_created = any(n.id == body_start for n in self.nodes)
-        back_target = body_start if body_created else loop.id
-        self.edges.append(CfgEdge(loop.id, back_target, "True", back=True))
+        # An empty body leaves the loop node itself with id body_start: a self-loop.
+        self.edges.append(CfgEdge(loop.id, body_start, "True", back=True))
         self.frontier = [(loop.id, "False")] + breaks
 
     def _build_for(self, node: c_ast.For) -> None:

@@ -1,9 +1,11 @@
-"""Chat-completion clients: a remote HTTP backend and a deterministic script.
+"""Chat-completion clients and the settings every model call shares.
 
-Request defaults are fixed: temperature 0.7, top-p 1.0, zero frequency and
-presence penalties, 300 second timeout.  Transient failures are retried with
-exponential backoff.  A bounded wrapper caps in-flight requests; a transcript
-wrapper appends every request/response pair to a replay log.
+``LlmSettings`` is the one place the inference setup is written.  A request
+carries only its prompt and a tag: the HTTP backend sends the settings'
+sampling parameters and timeout, and the transcript wrapper records them as
+``params``.  Transient failures are retried with exponential backoff, a
+bounded wrapper caps in-flight requests, and a transcript wrapper appends
+every request/response pair to a replay log.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from .errors import (
 )
 
 __all__ = [
+    "LlmSettings",
     "ChatRequest",
     "ChatResponse",
     "ChatClient",
@@ -38,21 +41,27 @@ __all__ = [
     "default_offline_rules",
 ]
 
-DEFAULT_TEMPERATURE = 0.7
-DEFAULT_TOP_P = 1.0
-DEFAULT_FREQUENCY_PENALTY = 0.0
-DEFAULT_PRESENCE_PENALTY = 0.0
-DEFAULT_TIMEOUT_S = 300.0
+
+@dataclass
+class LlmSettings:
+    kind: str = "scripted"  # scripted | http
+    model: str = "offline-script"
+    endpoint: str = ""
+    api_key_env: str = "VULNCONTEXT_API_KEY"
+    temperature: float = 0.7
+    top_p: float = 1.0
+    frequency_penalty: float = 0.0
+    presence_penalty: float = 0.0
+    timeout: float = 300.0
+    max_retries: int = 3
+    backoff_s: float = 1.0
+    max_in_flight: int = 4
+    script_path: str | None = None
 
 
 @dataclass
 class ChatRequest:
     prompt: str
-    temperature: float = DEFAULT_TEMPERATURE
-    top_p: float = DEFAULT_TOP_P
-    frequency_penalty: float = DEFAULT_FREQUENCY_PENALTY
-    presence_penalty: float = DEFAULT_PRESENCE_PENALTY
-    timeout: float = DEFAULT_TIMEOUT_S
     tag: str = ""
 
 
@@ -76,8 +85,8 @@ class ChatClient:
 
 @dataclass
 class RetryPolicy:
-    attempts: int = 3
-    backoff_s: float = 1.0
+    attempts: int
+    backoff_s: float
     sleep: object = time.sleep  # injectable for tests
 
     def run(self, fn):
@@ -170,46 +179,36 @@ def default_offline_rules() -> list[tuple[str, object]]:
 class HttpChatClient(ChatClient):
     """OpenAI-style chat completions over HTTP with bearer-token auth.
 
-    The API key is read from the environment variable named by
-    ``api_key_env``; endpoint and model come from configuration.
+    Endpoint, model, sampling parameters and timeout come from ``settings``;
+    the API key is read from the environment variable it names.
     """
 
-    def __init__(
-        self,
-        endpoint: str,
-        model: str,
-        api_key_env: str = "VULNCONTEXT_API_KEY",
-        retry: RetryPolicy | None = None,
-    ):
-        self.endpoint = endpoint
-        self.model = model
-        self.api_key_env = api_key_env
-        self.retry = retry or RetryPolicy()
-        self.last_retry_count = 0
+    def __init__(self, settings: LlmSettings, retry: RetryPolicy | None = None):
+        self.settings = settings
+        self.retry = retry or RetryPolicy(settings.max_retries, settings.backoff_s)
 
     def complete(self, req: ChatRequest) -> ChatResponse:
-        response, retries = self.retry.run(lambda: self._send(req))
-        self.last_retry_count = retries
-        return response
+        return self.retry.run(lambda: self._send(req))[0]
 
     def _send(self, req: ChatRequest) -> ChatResponse:
-        api_key = os.environ.get(self.api_key_env, "")
+        s = self.settings
+        api_key = os.environ.get(s.api_key_env, "")
         if not api_key:
             raise LlmTransportError(
-                f"missing API key: environment variable {self.api_key_env} is unset"
+                f"missing API key: environment variable {s.api_key_env} is unset"
             )
         body = json.dumps(
             {
-                "model": self.model,
+                "model": s.model,
                 "messages": [{"role": "user", "content": req.prompt}],
-                "temperature": req.temperature,
-                "top_p": req.top_p,
-                "frequency_penalty": req.frequency_penalty,
-                "presence_penalty": req.presence_penalty,
+                "temperature": s.temperature,
+                "top_p": s.top_p,
+                "frequency_penalty": s.frequency_penalty,
+                "presence_penalty": s.presence_penalty,
             }
         ).encode("utf-8")
         request = urllib.request.Request(
-            self.endpoint,
+            s.endpoint,
             data=body,
             headers={
                 "Content-Type": "application/json",
@@ -218,7 +217,7 @@ class HttpChatClient(ChatClient):
         )
         started = time.monotonic()
         try:
-            with urllib.request.urlopen(request, timeout=req.timeout) as raw:
+            with urllib.request.urlopen(request, timeout=s.timeout) as raw:
                 payload = json.loads(raw.read().decode("utf-8"))
         except urllib.error.HTTPError as exc:
             if exc.code == 429:
@@ -226,10 +225,10 @@ class HttpChatClient(ChatClient):
             raise LlmTransportError(f"HTTP {exc.code}: {exc}") from exc
         except urllib.error.URLError as exc:
             if isinstance(exc.reason, TimeoutError):
-                raise LlmTimeoutError(f"request timed out after {req.timeout}s") from exc
+                raise LlmTimeoutError(f"request timed out after {s.timeout}s") from exc
             raise LlmTransportError(str(exc)) from exc
         except TimeoutError as exc:
-            raise LlmTimeoutError(f"request timed out after {req.timeout}s") from exc
+            raise LlmTimeoutError(f"request timed out after {s.timeout}s") from exc
         latency = time.monotonic() - started
         try:
             text = payload["choices"][0]["message"]["content"]
@@ -238,14 +237,14 @@ class HttpChatClient(ChatClient):
         if text is None:
             raise LlmBadResponseError("completion payload carries no text")
         return ChatResponse(
-            text=text, latency=latency, model_id=payload.get("model", self.model)
+            text=text, latency=latency, model_id=payload.get("model", s.model)
         )
 
 
 class BoundedClient(ChatClient):
     """Caps concurrent in-flight requests on a shared inner client."""
 
-    def __init__(self, inner: ChatClient, max_in_flight: int = 4):
+    def __init__(self, inner: ChatClient, max_in_flight: int):
         self.inner = inner
         self._slots = threading.BoundedSemaphore(max(1, max_in_flight))
 
@@ -254,38 +253,29 @@ class BoundedClient(ChatClient):
             return self.inner.complete(req)
 
 
-@dataclass
-class TranscriptRecord:
-    tag: str
-    prompt_sha256: str
-    prompt: str
-    response: str
-    params: dict
-    model_id: str
-    timestamp: float
-
-
 class TranscribingClient(ChatClient):
     """Appends every request/response pair to a JSONL transcript file."""
 
-    def __init__(self, inner: ChatClient, path: str):
+    def __init__(self, inner: ChatClient, path: str, settings: LlmSettings):
         self.inner = inner
         self.path = path
+        self.settings = settings
         self._lock = threading.Lock()
 
     def complete(self, req: ChatRequest) -> ChatResponse:
         response = self.inner.complete(req)
+        s = self.settings
         record = {
             "tag": req.tag,
             "prompt_sha256": prompt_sha256(req.prompt),
             "prompt": req.prompt,
             "response": response.text,
             "params": {
-                "temperature": req.temperature,
-                "top_p": req.top_p,
-                "frequency_penalty": req.frequency_penalty,
-                "presence_penalty": req.presence_penalty,
-                "timeout": req.timeout,
+                "temperature": s.temperature,
+                "top_p": s.top_p,
+                "frequency_penalty": s.frequency_penalty,
+                "presence_penalty": s.presence_penalty,
+                "timeout": s.timeout,
             },
             "model_id": response.model_id,
             "timestamp": time.time(),

@@ -236,13 +236,14 @@ def run_triage(
     meta: dict | None = None,
     resume: bool = True,
 ) -> dict:
-    """Triage every function, appending verdict records in input order.
+    """Triage every function, writing verdict records in input order.
 
     Already-recorded ids are skipped when resuming, so an interrupted run can
     be restarted with the same command; a partial last line left by the
-    interruption is cut off first.  Wall-clock timing goes to the
-    returned summary, never into the verdict file, which stays byte-stable
-    for a fixed dataset, configuration, and backend.
+    interruption is cut off first.  Without ``resume`` the file starts over.
+    Wall-clock timing goes to the returned summary, never into the verdict
+    file, which stays byte-stable for a fixed dataset, configuration, and
+    backend.
     """
     out_path = Path(out_path)
     done_ids: set[str] = set()
@@ -275,7 +276,7 @@ def run_triage(
         except TriageError as exc:
             return exc
 
-    with open(out_path, "a", encoding="utf-8") as handle:
+    with open(out_path, "w" if fresh else "a", encoding="utf-8") as handle:
         if fresh and meta is not None:
             handle.write(
                 json.dumps({"record": "meta", **meta}, ensure_ascii=False, sort_keys=True)

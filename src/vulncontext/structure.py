@@ -268,7 +268,6 @@ class StructuralContext:
     t_ast: str
     t_cfg: str
     t_dfg: str
-    degraded: bool = False
 
     @property
     def s(self) -> str:

@@ -424,3 +424,41 @@ def test_invalid_config_is_data_error(tmp_path, dataset_path, capsys):
         ["extract-context", "--input", str(dataset_path), "--config", str(config_path)]
     )
     assert rc == 2
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"k": "2"},
+        {"validate": 1},
+        {"fingerprint": "x"},
+        {"alpha": True},
+        {"llm": {"temperature": "0.7"}},
+        {"llm": {"script_path": 3}},
+    ],
+    ids=["str-for-int", "method-name", "method-name-str", "bool-for-float", "str-for-float", "int-for-path"],
+)
+def test_wrong_type_or_name_in_config_is_data_error(tmp_path, dataset_path, capsys, payload):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(payload), encoding="utf-8")
+    rc = main(["extract-context", "--input", str(dataset_path), "--config", str(config_path)])
+    assert rc == 2
+    assert "data error" in capsys.readouterr().err
+
+
+def test_int_for_float_setting_still_loads(tmp_path, dataset_path):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"alpha": 1}), encoding="utf-8")
+    out = tmp_path / "ctx.jsonl"
+    argv = ["extract-context", "--input", str(dataset_path), "--config", str(config_path)]
+    assert main(argv + ["--jsonl", "--out", str(out)]) == 0
+    meta = json.loads(out.read_text().splitlines()[0])
+    assert meta["config"]["alpha"] == 1
+
+
+@pytest.mark.parametrize("field", [{"code": 123}, {"language": 7}], ids=["code", "language"])
+def test_wrong_type_in_dataset_record_is_data_error(tmp_path, capsys, field):
+    path = tmp_path / "functions.jsonl"
+    write_jsonl(path, [{"id": "f", "code": "void f(){}", **field}])
+    assert main(["extract-context", "--input", str(path)]) == 2
+    assert "data error" in capsys.readouterr().err

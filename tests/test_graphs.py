@@ -29,6 +29,15 @@ def test_empty_function_graphs_are_minimal():
     assert [(n.kind) for n in bundle.cfg.nodes] == ["entry", "exit"]
     assert [(e.src, e.dst) for e in bundle.cfg.edges] == [(0, 1)]
     assert bundle.dfg.nodes == [] and bundle.dfg.edges == []
+    # An empty do-while body: the back edge is a self-loop on the loop node.
+    bundle = parse(SourceFunction(id="d", code="void d(int x){ do {} while (x); }"))
+    assert [n.label for n in bundle.cfg.nodes] == ["Entry", "Exit", "do-while(x)", "end"]
+    assert [(e.src, e.dst, e.label, e.back) for e in bundle.cfg.edges] == [
+        (0, 2, "seq", False),
+        (2, 2, "True", True),
+        (2, 3, "False", False),
+        (3, 1, "seq", False),
+    ]
 
 
 def test_two_statement_function_matches_hand_built_def_use_table():

@@ -4,9 +4,11 @@ import http.server
 import json
 import threading
 import time
+import urllib.request
 
 import pytest
 
+from vulncontext.config import build_client, load_config
 from vulncontext.errors import (
     LlmBadResponseError,
     LlmTimeoutError,
@@ -17,6 +19,7 @@ from vulncontext.llm import (
     ChatRequest,
     ChatResponse,
     HttpChatClient,
+    LlmSettings,
     RetryPolicy,
     ScriptedChatClient,
     TranscribingClient,
@@ -24,13 +27,14 @@ from vulncontext.llm import (
 )
 
 
-def test_request_defaults_match_reference_inference_config():
-    req = ChatRequest(prompt="p")
-    assert req.temperature == 0.7
-    assert req.top_p == 1.0
-    assert req.frequency_penalty == 0
-    assert req.presence_penalty == 0
-    assert req.timeout == 300
+def test_request_defaults_match_reference_inference_config(echo_port):
+    client = HttpChatClient(_http_settings(echo_port))
+    client.complete(ChatRequest(prompt="p"))
+    [body] = _EchoHandler.bodies
+    assert body["temperature"] == 0.7
+    assert body["top_p"] == 1.0
+    assert body["frequency_penalty"] == 0
+    assert body["presence_penalty"] == 0
 
 
 def test_scripted_client_is_deterministic():
@@ -96,21 +100,32 @@ def test_http_client_times_out_against_stalling_server(monkeypatch):
     thread.start()
     monkeypatch.setenv("TEST_LLM_KEY", "k")
     client = HttpChatClient(
-        endpoint=f"http://127.0.0.1:{port}/v1/chat/completions",
-        model="m",
-        api_key_env="TEST_LLM_KEY",
+        _http_settings(port, timeout=0.25),
         retry=RetryPolicy(attempts=1, backoff_s=0.0, sleep=lambda *_: None),
     )
     try:
         with pytest.raises(LlmTimeoutError):
-            client.complete(ChatRequest(prompt="p", timeout=0.25))
+            client.complete(ChatRequest(prompt="p"))
     finally:
         server.shutdown()
 
 
+def _http_settings(port: int, **overrides) -> LlmSettings:
+    return LlmSettings(
+        kind="http",
+        model="m",
+        endpoint=f"http://127.0.0.1:{port}/v1/chat/completions",
+        api_key_env="TEST_LLM_KEY",
+        **overrides,
+    )
+
+
 class _EchoHandler(http.server.BaseHTTPRequestHandler):
+    bodies: list[dict] = []  # every request body the server received
+
     def do_POST(self):
         body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        self.bodies.append(body)
         payload = {
             "model": body["model"],
             "choices": [{"message": {"content": f"echo: {body['messages'][0]['content']}"}}],
@@ -125,34 +140,82 @@ class _EchoHandler(http.server.BaseHTTPRequestHandler):
         pass
 
 
-def test_http_client_round_trip(monkeypatch):
+@pytest.fixture
+def echo_port(monkeypatch):
     server = http.server.HTTPServer(("127.0.0.1", 0), _EchoHandler)
-    port = server.server_address[1]
     threading.Thread(target=server.serve_forever, daemon=True).start()
     monkeypatch.setenv("TEST_LLM_KEY", "k")
-    client = HttpChatClient(
-        endpoint=f"http://127.0.0.1:{port}/v1/chat/completions",
-        model="m",
-        api_key_env="TEST_LLM_KEY",
-    )
+    _EchoHandler.bodies.clear()
     try:
-        response = client.complete(ChatRequest(prompt="hello", timeout=5))
-        assert response.text == "echo: hello"
-        assert client.last_retry_count == 0
+        yield server.server_address[1]
     finally:
         server.shutdown()
+        server.server_close()
+
+
+def test_http_client_round_trip(echo_port):
+    client = HttpChatClient(_http_settings(echo_port, timeout=5))
+    response = client.complete(ChatRequest(prompt="hello"))
+    assert response.text == "echo: hello"
+
+
+def test_configured_settings_reach_the_wire_and_the_transcript(echo_port, tmp_path, monkeypatch):
+    timeouts: list[float] = []
+    real_urlopen = urllib.request.urlopen
+
+    def spy(request, timeout):
+        timeouts.append(timeout)
+        return real_urlopen(request, timeout=timeout)
+
+    monkeypatch.setattr(urllib.request, "urlopen", spy)
+    config_path = tmp_path / "config.json"
+    transcript = tmp_path / "transcript.jsonl"
+    config_path.write_text(
+        json.dumps(
+            {
+                "transcript_path": str(transcript),
+                "llm": {
+                    "kind": "http",
+                    "model": "m",
+                    "endpoint": f"http://127.0.0.1:{echo_port}/v1/chat/completions",
+                    "api_key_env": "TEST_LLM_KEY",
+                    "temperature": 0.2,
+                    "timeout": 7,
+                },
+            }
+        ),
+        encoding="utf-8",
+    )
+    client = build_client(load_config(config_path))
+    assert client.complete(ChatRequest(prompt="hi", tag="f:judge")).text == "echo: hi"
+    [body] = _EchoHandler.bodies
+    assert (body["temperature"], body["top_p"]) == (0.2, 1.0)
+    assert (body["frequency_penalty"], body["presence_penalty"]) == (0, 0)
+    assert timeouts == [7]
+    [record] = [json.loads(line) for line in transcript.read_text().splitlines()]
+    assert record["params"] == {
+        "temperature": 0.2,
+        "top_p": 1.0,
+        "frequency_penalty": 0.0,
+        "presence_penalty": 0.0,
+        "timeout": 7,
+    }
 
 
 def test_http_client_requires_api_key(monkeypatch):
     monkeypatch.delenv("MISSING_KEY", raising=False)
     client = HttpChatClient(
-        endpoint="http://127.0.0.1:1/x",
-        model="m",
-        api_key_env="MISSING_KEY",
+        LlmSettings(
+            kind="http",
+            model="m",
+            endpoint="http://127.0.0.1:1/x",
+            api_key_env="MISSING_KEY",
+            timeout=0.2,
+        ),
         retry=RetryPolicy(attempts=1, backoff_s=0.0, sleep=lambda *_: None),
     )
     with pytest.raises(LlmTransportError):
-        client.complete(ChatRequest(prompt="p", timeout=0.2))
+        client.complete(ChatRequest(prompt="p"))
 
 
 def test_bounded_client_caps_in_flight_requests():
@@ -184,7 +247,7 @@ def test_bounded_client_caps_in_flight_requests():
 def test_transcript_records_requests(tmp_path):
     path = tmp_path / "transcript.jsonl"
     inner = ScriptedChatClient(rules=[("hello", "world")])
-    client = TranscribingClient(inner, str(path))
+    client = TranscribingClient(inner, str(path), LlmSettings())
     client.complete(ChatRequest(prompt="hello there", tag="fn1:judge"))
     records = [json.loads(line) for line in path.read_text().splitlines()]
     assert len(records) == 1

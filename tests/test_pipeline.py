@@ -312,6 +312,17 @@ def test_resume_cuts_a_torn_last_line(tmp_path, toy_index):
     assert out.read_text().count('"record": "meta"') == 1
 
 
+def test_no_resume_starts_the_file_over(tmp_path, toy_index):
+    functions = _dataset(2)
+    meta = {"config_fingerprint": "x"}
+    single, rerun = tmp_path / "single.jsonl", tmp_path / "rerun.jsonl"
+    client = ScriptedChatClient(rules=scripted_rules())
+    run_triage(functions, toy_index, client, single, meta=meta)
+    for _ in range(2):
+        run_triage(functions, toy_index, client, rerun, meta=meta, resume=False)
+    assert rerun.read_bytes() == single.read_bytes()
+
+
 def test_run_triage_records_judgment_failures_and_continues(tmp_path, toy_index):
     functions = _dataset(3)
 
