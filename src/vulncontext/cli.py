@@ -15,7 +15,7 @@ from pathlib import Path
 
 from . import __version__
 from .config import RunConfig, build_client, load_config
-from .datasets import load_functions, load_pairs, load_verdicts
+from .datasets import jsonl_line, load_functions, load_pairs, load_verdicts
 from .errors import (
     ConfigError,
     CorpusFormatError,
@@ -180,41 +180,25 @@ def _cmd_extract_context(args) -> int:
     had_errors = False
     try:
         if args.jsonl:
-            meta = {"record": "meta", **config.meta()}
-            print(json.dumps(meta, ensure_ascii=False, sort_keys=True), file=out_handle)
+            out_handle.write(jsonl_line({"record": "meta", **config.meta()}))
         for fn in functions:
+            record = {"record": "context", "id": fn.id, "level": level.value}
             try:
                 context = generate_structural_context(fn, level)
+                record.update(
+                    t_ast=context.t_ast,
+                    t_cfg=context.t_cfg,
+                    t_dfg=context.t_dfg,
+                    context=context.s,
+                )
             except (SourceSyntaxError, UnsupportedLanguageError) as exc:
                 had_errors = True
-                if args.jsonl:
-                    record = {
-                        "record": "context",
-                        "id": fn.id,
-                        "level": level.value,
-                        "error": str(exc),
-                    }
-                    print(json.dumps(record, ensure_ascii=False, sort_keys=True), file=out_handle)
-                else:
-                    print(f"=== {fn.id} (level {level.value}) ===", file=out_handle)
-                    print(f"error: {exc}", file=out_handle)
-                    print(file=out_handle)
-                continue
+                record["error"] = str(exc)
             if args.jsonl:
-                record = {
-                    "record": "context",
-                    "id": fn.id,
-                    "level": level.value,
-                    "t_ast": context.t_ast,
-                    "t_cfg": context.t_cfg,
-                    "t_dfg": context.t_dfg,
-                    "context": context.s,
-                }
-                print(json.dumps(record, ensure_ascii=False, sort_keys=True), file=out_handle)
+                out_handle.write(jsonl_line(record))
             else:
-                print(f"=== {fn.id} (level {level.value}) ===", file=out_handle)
-                print(context.s, file=out_handle)
-                print(file=out_handle)
+                body = f"error: {record['error']}" if "error" in record else record["context"]
+                out_handle.write(f"=== {fn.id} (level {level.value}) ===\n{body}\n\n")
     finally:
         if args.out:
             out_handle.close()

@@ -58,6 +58,14 @@ class RunConfig:
             raise ConfigError(f"llm.kind must be scripted or http, got {self.llm.kind!r}")
         if self.llm.kind == "http" and not self.llm.endpoint:
             raise ConfigError("llm.kind=http requires llm.endpoint")
+        if self.llm.timeout <= 0:
+            raise ConfigError(f"llm.timeout must be > 0, got {self.llm.timeout}")
+        if self.llm.max_retries < 1:
+            raise ConfigError(f"llm.max_retries must be >= 1, got {self.llm.max_retries}")
+        if self.llm.backoff_s < 0:
+            raise ConfigError(f"llm.backoff_s must be >= 0, got {self.llm.backoff_s}")
+        if self.llm.max_in_flight < 1:
+            raise ConfigError(f"llm.max_in_flight must be >= 1, got {self.llm.max_in_flight}")
 
     @property
     def level_enum(self) -> Level:
@@ -132,7 +140,12 @@ def _load_script_rules(path: str) -> tuple[list[tuple[str, object]], str | None]
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read script file {path}: {exc}") from exc
-    rules = [(r["match"], r["response"]) for r in payload.get("rules", [])]
+    if not isinstance(payload, dict) or not isinstance(payload.get("rules", []), list):
+        raise ConfigError(f"script file {path} must be an object whose rules are a list")
+    try:
+        rules = [(r["match"], r["response"]) for r in payload.get("rules", [])]
+    except (KeyError, TypeError) as exc:
+        raise ConfigError(f"script file {path}: every rule needs match and response") from exc
     return rules, payload.get("default")
 
 

@@ -4,38 +4,81 @@ A dataset file carries one JSON object per line with fields ``id``, ``code``,
 and optionally ``label`` (vulnerable | benign) and ``language`` (default c).
 A pair manifest lists ``pair_id``, ``vulnerable_id``, ``benign_id`` per line,
 making the pairing explicit and auditable.  Verdict files are produced by the
-analyze step: a leading meta record, then one record per function.
+analyze step: a leading meta record, then one record per function.  This
+module owns the verdict format: the ``Verdict`` type, its record, and the
+reader that ``evaluate`` and resume share.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import DatasetFormatError
 from .evaluation import PairRecord
 from .graphs import SourceFunction
 
-__all__ = ["VerdictRecord", "load_functions", "load_pairs", "load_verdicts"]
+__all__ = [
+    "Verdict",
+    "jsonl_line",
+    "load_functions",
+    "load_pairs",
+    "load_verdicts",
+    "parse_verdicts",
+    "verdict_record",
+]
 
 
-@dataclass(frozen=True)
-class VerdictRecord:
+@dataclass
+class Verdict:
+    """One function's verdict; a failed judgment has no label and an error."""
+
     id: str
-    label: str | None  # None when the judgment call failed outright
-    degraded_paths: tuple[str, ...] = ()
+    label: str | None  # vulnerable | benign
+    degraded_paths: frozenset[str] = frozenset()
     parse_failure: bool = False
+    prompt_hashes: dict[str, str] = field(default_factory=dict)
     error: str | None = None
 
 
-def _read_jsonl(path: str | Path) -> list[dict]:
-    records = []
+def verdict_record(v: Verdict) -> dict:
+    """The verdict-file record: a failure carries ``error``, not ``prompt_hashes``."""
+    record = {
+        "record": "verdict",
+        "id": v.id,
+        "label": v.label,
+        "degraded_paths": sorted(v.degraded_paths),
+        "parse_failure": v.parse_failure,
+    }
+    if v.error is None:
+        record["prompt_hashes"] = dict(v.prompt_hashes)
+    else:
+        record["error"] = v.error
+    return record
+
+
+def jsonl_line(record: dict) -> str:
+    """One record as a line of the repository's byte-stable JSONL framing."""
+    return json.dumps(record, ensure_ascii=False, sort_keys=True) + "\n"
+
+
+def _read_bytes(path: str | Path) -> bytes:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        return Path(path).read_bytes()
     except OSError as exc:
         raise DatasetFormatError(f"cannot read {path}: {exc}") from exc
-    for lineno, line in enumerate(text.splitlines(), start=1):
+
+
+def _parse_jsonl(data: bytes, path: str | Path) -> list[dict]:
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DatasetFormatError(f"{path}: not UTF-8: {exc}") from exc
+    records = []
+    # Split on newlines only: str.splitlines would also break a line at an
+    # unescaped U+2028 inside a string.
+    for lineno, line in enumerate(text.split("\n"), start=1):
         if not line.strip():
             continue
         try:
@@ -46,6 +89,10 @@ def _read_jsonl(path: str | Path) -> list[dict]:
             raise DatasetFormatError(f"{path}:{lineno}: expected an object per line")
         records.append(record)
     return records
+
+
+def _read_jsonl(path: str | Path) -> list[dict]:
+    return _parse_jsonl(_read_bytes(path), path)
 
 
 def load_functions(path: str | Path) -> list[SourceFunction]:
@@ -92,24 +139,29 @@ def load_pairs(path: str | Path) -> list[PairRecord]:
     return pairs
 
 
-def load_verdicts(path: str | Path) -> dict[str, VerdictRecord]:
-    verdicts: dict[str, VerdictRecord] = {}
-    for record in _read_jsonl(path):
-        if record.get("record") == "meta":
-            continue
+def parse_verdicts(data: bytes, path: str | Path) -> dict[str, Verdict]:
+    """The verdict records in ``data`` (the bytes of ``path``), by id."""
+    verdicts: dict[str, Verdict] = {}
+    for record in _parse_jsonl(data, path):
         if record.get("record") not in (None, "verdict"):
             continue
         try:
-            verdict = VerdictRecord(
+            verdict = Verdict(
                 id=str(record["id"]),
                 label=record.get("label"),
-                degraded_paths=tuple(record.get("degraded_paths", ())),
+                degraded_paths=frozenset(record.get("degraded_paths", ())),
                 parse_failure=bool(record.get("parse_failure", False)),
+                prompt_hashes=dict(record.get("prompt_hashes", {})),
                 error=record.get("error"),
             )
-        except KeyError as exc:
-            raise DatasetFormatError(f"{path}: bad verdict record: missing {exc}") from exc
+        except (KeyError, TypeError, ValueError) as exc:
+            raise DatasetFormatError(f"{path}: bad verdict record: {exc!r}") from exc
         verdicts[verdict.id] = verdict
+    return verdicts
+
+
+def load_verdicts(path: str | Path) -> dict[str, Verdict]:
+    verdicts = parse_verdicts(_read_bytes(path), path)
     if not verdicts:
         raise DatasetFormatError(f"{path}: no verdict records")
     return verdicts

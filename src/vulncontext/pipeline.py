@@ -10,12 +10,12 @@ order, and resume past ids already present in the output file.
 
 from __future__ import annotations
 
-import json
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from contextlib import ExitStack
 from pathlib import Path
 
+from .datasets import Verdict, jsonl_line, parse_verdicts, verdict_record
 from .errors import (
     EmptyCorpusError,
     EncoderMismatchError,
@@ -44,7 +44,6 @@ __all__ = [
     "DEGRADED_CONTROL",
     "DEGRADED_KNOWLEDGE",
     "DEGRADED_EXPLAIN",
-    "Instruction",
     "Verdict",
     "assemble_instruction",
     "parse_verdict",
@@ -59,47 +58,19 @@ DEGRADED_EXPLAIN = "(no explanation available)"
 _PARSE_RETRY_REMINDER = "Answer with exactly 'Verdict: Yes' or 'Verdict: No'."
 
 
-@dataclass
-class Instruction:
-    """The four-slot judgment prompt: its slot values in template order."""
+def assemble_instruction(code: str, control_info: str, knowledge: str, explain: str) -> str:
+    """Render the judgment prompt with its four slots in their fixed order.
 
-    slots: dict[str, str]
-
-    @property
-    def rendered(self) -> str:
-        return fill_judgment_prompt(
-            self.slots["code"],
-            self.slots["control_info"],
-            self.slots["knowledge"],
-            self.slots["explain"],
-        )
-
-
-@dataclass
-class Verdict:
-    label: str  # vulnerable | benign
-    raw: str
-    fn_id: str = ""
-    degraded_paths: frozenset[str] = frozenset()
-    parse_failure: bool = False
-    prompt_hashes: dict[str, str] = field(default_factory=dict)
-
-
-def assemble_instruction(code: str, control_info: str, knowledge: str, explain: str) -> Instruction:
-    """Fill the judgment template slots in their fixed order.
-
-    Empty augmentation slots must arrive as their degradation markers; the
+    Empty augmentation slots are filled with their degradation markers; the
     code slot may not be empty.
     """
     if not code:
         raise ValueError("code slot must be non-empty")
-    return Instruction(
-        slots={
-            "code": code,
-            "control_info": control_info or DEGRADED_CONTROL,
-            "knowledge": knowledge or DEGRADED_KNOWLEDGE,
-            "explain": explain or DEGRADED_EXPLAIN,
-        },
+    return fill_judgment_prompt(
+        code,
+        control_info or DEGRADED_CONTROL,
+        knowledge or DEGRADED_KNOWLEDGE,
+        explain or DEGRADED_EXPLAIN,
     )
 
 
@@ -119,7 +90,7 @@ def parse_verdict(text: str, fn_id: str = "") -> Verdict:
             label = "benign"
     if label is None:
         raise VerdictParseError(f"no verdict line in response for {fn_id or 'function'}")
-    return Verdict(label=label, raw=text, fn_id=fn_id)
+    return Verdict(fn_id, label)
 
 
 _KNOWLEDGE_FAILURES = (
@@ -173,8 +144,7 @@ def triage(
     else:
         explain_text = explanation.text
 
-    instruction = assemble_instruction(fn.code, control_info, knowledge_text, explain_text)
-    prompt = instruction.rendered
+    prompt = assemble_instruction(fn.code, control_info, knowledge_text, explain_text)
     hashes["judge"] = prompt_sha256(prompt)
 
     try:
@@ -184,43 +154,25 @@ def triage(
 
     parse_failure = False
     try:
-        verdict = parse_verdict(response.text, fn.id)
+        label = parse_verdict(response.text, fn.id).label
     except VerdictParseError:
         retry_prompt = prompt + "\n\n" + _PARSE_RETRY_REMINDER
         try:
             retry_response = llm.complete(
                 ChatRequest(prompt=retry_prompt, tag=f"{fn.id}:judge-retry")
             )
-            verdict = parse_verdict(retry_response.text, fn.id)
+            label = parse_verdict(retry_response.text, fn.id).label
         except (LlmError, VerdictParseError):
             # Conservative default when the model never produces the format.
-            verdict = Verdict(label="benign", raw=response.text, fn_id=fn.id)
+            label = "benign"
             parse_failure = True
 
-    return Verdict(
-        label=verdict.label,
-        raw=verdict.raw,
-        fn_id=fn.id,
-        degraded_paths=frozenset(degraded),
-        parse_failure=parse_failure,
-        prompt_hashes=hashes,
-    )
+    return Verdict(fn.id, label, frozenset(degraded), parse_failure, hashes)
 
 
 # ---------------------------------------------------------------------------
 # Batch runner
 # ---------------------------------------------------------------------------
-
-
-def verdict_record(v: Verdict) -> dict:
-    return {
-        "record": "verdict",
-        "id": v.fn_id,
-        "label": v.label,
-        "degraded_paths": sorted(v.degraded_paths),
-        "parse_failure": v.parse_failure,
-        "prompt_hashes": dict(sorted(v.prompt_hashes.items())),
-    }
 
 
 def run_triage(
@@ -240,7 +192,10 @@ def run_triage(
 
     Already-recorded ids are skipped when resuming, so an interrupted run can
     be restarted with the same command; a partial last line left by the
-    interruption is cut off first.  Without ``resume`` the file starts over.
+    interruption is cut off first, and an unreadable complete line raises
+    ``DatasetFormatError`` before anything is written.  Without ``resume`` the
+    file starts over.  A failed judgment is recorded as a verdict with an
+    ``error`` and no label.
     Wall-clock timing goes to the returned summary, never into the verdict
     file, which stays byte-stable for a fixed dataset, configuration, and
     backend.
@@ -250,49 +205,43 @@ def run_triage(
     if resume and out_path.exists():
         data = out_path.read_bytes()
         complete = data.rfind(b"\n") + 1
+        # An unreadable complete line raises here, before the file changes.
+        done_ids = set(parse_verdicts(data[:complete], out_path))
         if complete < len(data):
             # An interrupted write left a partial last line; cut it so the
             # next record starts on a line of its own.
             with open(out_path, "r+b") as handle:
                 handle.truncate(complete)
-        for line in data[:complete].decode("utf-8").split("\n"):
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                continue
-            if record.get("record") == "verdict":
-                done_ids.add(record["id"])
     fresh = not (resume and out_path.exists() and out_path.stat().st_size > 0)
 
     pending = [fn for fn in functions if fn.id not in done_ids]
     started = time.monotonic()
     failures: list[dict] = []
 
-    def work(fn: SourceFunction):
+    def work(fn: SourceFunction) -> Verdict:
         try:
             return triage(
                 fn, index, llm, level=level, alpha=alpha, k=k, max_entries=max_entries
             )
         except TriageError as exc:
-            return exc
+            return Verdict(fn.id, None, error=str(exc))
 
-    with open(out_path, "w" if fresh else "a", encoding="utf-8") as handle:
+    with open(out_path, "w" if fresh else "a", encoding="utf-8") as handle, ExitStack() as stack:
         if fresh and meta is not None:
-            handle.write(
-                json.dumps({"record": "meta", **meta}, ensure_ascii=False, sort_keys=True)
-                + "\n"
-            )
+            handle.write(jsonl_line({"record": "meta", **meta}))
         # One worker stays on this thread: on glibc a pool thread allocates
         # from its own malloc arena, whose peak adds to the main arena's; on
         # the large-function benchmark workload that raised peak RSS 14-70%.
         if workers <= 1:
-            outcomes = map(work, pending)
-            for fn, outcome in zip(pending, outcomes):
-                _emit(handle, fn, outcome, failures)
+            verdicts = map(work, pending)
         else:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                for fn, outcome in zip(pending, pool.map(work, pending)):
-                    _emit(handle, fn, outcome, failures)
+            pool = stack.enter_context(ThreadPoolExecutor(max_workers=workers))
+            verdicts = pool.map(work, pending)
+        for verdict in verdicts:
+            handle.write(jsonl_line(verdict_record(verdict)))
+            handle.flush()
+            if verdict.error is not None:
+                failures.append({"id": verdict.id, "error": verdict.error})
 
     return {
         "functions": len(functions),
@@ -302,20 +251,3 @@ def run_triage(
         "elapsed_s": time.monotonic() - started,
         "out": str(out_path),
     }
-
-
-def _emit(handle, fn: SourceFunction, outcome, failures: list[dict]) -> None:
-    if isinstance(outcome, TriageError):
-        record = {
-            "record": "verdict",
-            "id": fn.id,
-            "label": None,
-            "degraded_paths": [],
-            "parse_failure": False,
-            "error": str(outcome),
-        }
-        failures.append({"id": fn.id, "error": str(outcome)})
-    else:
-        record = verdict_record(outcome)
-    handle.write(json.dumps(record, ensure_ascii=False, sort_keys=True) + "\n")
-    handle.flush()

@@ -446,6 +446,59 @@ def test_wrong_type_or_name_in_config_is_data_error(tmp_path, dataset_path, caps
     assert "data error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "llm",
+    [
+        {"timeout": 0},
+        {"timeout": -1},
+        {"max_retries": 0},
+        {"backoff_s": -0.5},
+        {"max_in_flight": 0},
+    ],
+    ids=["zero-timeout", "negative-timeout", "no-retries", "negative-backoff", "no-in-flight"],
+)
+def test_out_of_range_llm_setting_is_data_error(tmp_path, dataset_path, capsys, llm):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"llm": llm}), encoding="utf-8")
+    rc = main(["extract-context", "--input", str(dataset_path), "--config", str(config_path)])
+    assert rc == 2
+    assert f"llm.{next(iter(llm))}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "script",
+    [
+        [1, 2],
+        {"rules": {"match": "x"}},
+        {"rules": [{"response": "x"}]},
+        {"rules": [{"match": "x"}]},
+        {"rules": ["x"]},
+    ],
+    ids=["not-object", "rules-not-list", "no-match", "no-response", "rule-not-object"],
+)
+def test_malformed_script_file_is_data_error(tmp_path, kb_path, dataset_path, capsys, script):
+    script_path = tmp_path / "script.json"
+    script_path.write_text(json.dumps(script), encoding="utf-8")
+    config_path = tmp_path / "config.json"
+    config = {"llm": {"script_path": str(script_path)}}
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    rc = main(
+        [
+            "analyze",
+            "--input",
+            str(dataset_path),
+            "--kb",
+            str(kb_path),
+            "--out",
+            str(tmp_path / "v.jsonl"),
+            "--config",
+            str(config_path),
+        ]
+    )
+    assert rc == 2
+    assert str(script_path) in capsys.readouterr().err
+
+
 def test_int_for_float_setting_still_loads(tmp_path, dataset_path):
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps({"alpha": 1}), encoding="utf-8")
@@ -462,3 +515,10 @@ def test_wrong_type_in_dataset_record_is_data_error(tmp_path, capsys, field):
     write_jsonl(path, [{"id": "f", "code": "void f(){}", **field}])
     assert main(["extract-context", "--input", str(path)]) == 2
     assert "data error" in capsys.readouterr().err
+
+
+def test_line_separator_inside_a_string_stays_in_its_record(tmp_path):
+    path = tmp_path / "functions.jsonl"
+    code = "int f(void) { /* a\u2028b */ return 0; }"  # U+2028 LINE SEPARATOR
+    write_jsonl(path, [{"id": "f", "code": code}])
+    assert [fn.code for fn in load_functions(path)] == [code]

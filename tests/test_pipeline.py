@@ -14,8 +14,9 @@ from fixtures import (
     scripted_rules,
 )
 
-from vulncontext.datasets import load_verdicts
+from vulncontext.datasets import jsonl_line, load_verdicts, verdict_record
 from vulncontext.errors import (
+    DatasetFormatError,
     EncoderUnavailableError,
     LlmTimeoutError,
     LlmTransportError,
@@ -51,8 +52,7 @@ def toy_index():
 
 
 def test_instruction_contains_four_numbered_blocks_in_order():
-    instr = assemble_instruction(COPY_BYTES, GOLDEN_STRUCT, "knowledge text", "explain text")
-    rendered = instr.rendered
+    rendered = assemble_instruction(COPY_BYTES, GOLDEN_STRUCT, "knowledge text", "explain text")
     markers = [
         "1. Source Code:",
         "2. Control Information:",
@@ -67,21 +67,20 @@ def test_instruction_contains_four_numbered_blocks_in_order():
 
 
 def test_degraded_slots_render_markers():
-    instr = assemble_instruction("int f;", "", "", "")
-    rendered = instr.rendered
+    rendered = assemble_instruction("int f;", "", "", "")
     assert DEGRADED_CONTROL in rendered
     assert DEGRADED_KNOWLEDGE in rendered
     assert DEGRADED_EXPLAIN in rendered
 
 
 def test_instruction_hash_is_pinned():
-    instr = assemble_instruction(
+    rendered = assemble_instruction(
         COPY_BYTES,
         GOLDEN_STRUCT,
         "[CWE-787] Out-of-bounds Write\ndetails",
         "Copies len bytes.",
     )
-    assert prompt_sha256(instr.rendered) == GOLDEN_INSTRUCTION_SHA256
+    assert prompt_sha256(rendered) == GOLDEN_INSTRUCTION_SHA256
 
 
 def test_empty_code_slot_is_rejected():
@@ -312,6 +311,22 @@ def test_resume_cuts_a_torn_last_line(tmp_path, toy_index):
     assert out.read_text().count('"record": "meta"') == 1
 
 
+def test_resume_refuses_a_corrupt_complete_line(tmp_path, toy_index):
+    functions = _dataset(3)
+    out = tmp_path / "v.jsonl"
+    meta = {"config_fingerprint": "x"}
+    run_triage(functions[:2], toy_index, ScriptedChatClient(rules=scripted_rules()), out, meta=meta)
+    lines = out.read_bytes().splitlines(keepends=True)
+    # The second verdict line is complete but undecodable; a torn last line follows.
+    corrupt = lines[0] + lines[1] + b"{not json}\n" + lines[2][:10]
+    out.write_bytes(corrupt)
+    client = ScriptedChatClient(rules=scripted_rules())
+    with pytest.raises(DatasetFormatError, match=":3: invalid JSON"):
+        run_triage(functions, toy_index, client, out, meta=meta)
+    assert out.read_bytes() == corrupt
+    assert client.call_log == []
+
+
 def test_no_resume_starts_the_file_over(tmp_path, toy_index):
     functions = _dataset(2)
     meta = {"config_fingerprint": "x"}
@@ -348,3 +363,28 @@ def test_run_triage_records_judgment_failures_and_continues(tmp_path, toy_index)
     assert failed["label"] is None and "error" in failed
     ok = [r for r in records if r.get("record") == "verdict" and r["label"]]
     assert len(ok) == 2
+
+
+def test_verdict_file_reads_back_to_the_records_it_was_written_from(tmp_path, toy_index):
+    functions = _dataset(3)
+
+    def judge(prompt):
+        if "fn1" in prompt:
+            raise LlmTransportError("backend down")
+        return "no idea" if "fn0" in prompt else "Verdict: Yes"
+
+    rules = [
+        ("identify at most two possible vulnerability types", "Query 1: q\nQuery 2: N/A"),
+        ("summarize its observable functional behavior", LlmTimeoutError),
+        ("Return the final prediction", judge),
+    ]
+    out = tmp_path / "v.jsonl"
+    meta = {"config_fingerprint": "x"}
+    run_triage(functions, toy_index, ScriptedChatClient(rules=rules), out, meta=meta)
+    lines = out.read_text(encoding="utf-8").splitlines(keepends=True)[1:]
+    verdicts = load_verdicts(out)
+    assert [jsonl_line(verdict_record(v)) for v in verdicts.values()] == lines
+    assert verdicts["fn0"].parse_failure and verdicts["fn0"].label == "benign"
+    failed = verdicts["fn1"]
+    assert failed.label is None and failed.error and not failed.prompt_hashes
+    assert "prompt_hashes" not in json.loads(lines[2])
