@@ -346,8 +346,7 @@ def _effective_label(record) -> tuple[str, list[str]]:
         flags.append("judgment-failed")
     if record.parse_failure:
         flags.append("verdict-parse-failure")
-    label = record.label if record.label in ("vulnerable", "benign") else "benign"
-    return label, flags
+    return record.label or "benign", flags
 
 
 if __name__ == "__main__":

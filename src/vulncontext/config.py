@@ -16,6 +16,7 @@ from pathlib import Path
 
 from . import __version__
 from .errors import ConfigError
+from .knowledge import DEFAULT_ALPHA, DEFAULT_MAX_ENTRIES, DEFAULT_TOP_K
 from .llm import (
     BoundedClient,
     ChatClient,
@@ -35,9 +36,9 @@ SCHEMA_VERSION = 1
 @dataclass
 class RunConfig:
     level: str = "C"
-    alpha: float = 0.5
-    k: int = 2
-    max_entries: int = 2
+    alpha: float = DEFAULT_ALPHA
+    k: int = DEFAULT_TOP_K
+    max_entries: int = DEFAULT_MAX_ENTRIES
     seed: int = 0
     concurrency: int = 1
     transcript_path: str | None = None

@@ -17,7 +17,7 @@ from pathlib import Path
 
 from .errors import DatasetFormatError
 from .evaluation import PairRecord
-from .graphs import SourceFunction
+from .graphs import VALID_LABELS, SourceFunction
 
 __all__ = [
     "Verdict",
@@ -156,6 +156,8 @@ def parse_verdicts(data: bytes, path: str | Path) -> dict[str, Verdict]:
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise DatasetFormatError(f"{path}: bad verdict record: {exc!r}") from exc
+        if verdict.label is not None and verdict.label not in VALID_LABELS:
+            raise DatasetFormatError(f"{path}: verdict {verdict.id!r} has unknown label {verdict.label!r}")
         verdicts[verdict.id] = verdict
     return verdicts
 

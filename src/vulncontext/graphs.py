@@ -25,8 +25,8 @@ CFG, and a 4-edge DFG:
 
 from __future__ import annotations
 
+import heapq
 import re
-from collections import deque
 from dataclasses import dataclass, field
 
 from pycparser import CParser, c_ast, c_generator
@@ -500,7 +500,8 @@ def _collect_uses(expr, refs: _Refs) -> None:
         refs.uses.add(expr.name)
         return
     if isinstance(expr, c_ast.Assignment):
-        _collect_assignment(expr, refs)
+        _collect_uses(expr.rvalue, refs)
+        _collect_write_target(expr.lvalue, refs, also_use=(expr.op != "="))
         return
     if isinstance(expr, c_ast.UnaryOp) and expr.op in ("p++", "p--", "++", "--"):
         _collect_write_target(expr.expr, refs, also_use=True)
@@ -513,11 +514,6 @@ def _collect_uses(expr, refs: _Refs) -> None:
         return
     for _, child in expr.children():
         _collect_uses(child, refs)
-
-
-def _collect_assignment(node: c_ast.Assignment, refs: _Refs) -> None:
-    _collect_uses(node.rvalue, refs)
-    _collect_write_target(node.lvalue, refs, also_use=(node.op != "="))
 
 
 def _collect_write_target(lvalue, refs: _Refs, also_use: bool) -> None:
@@ -543,14 +539,7 @@ def _collect_write_target(lvalue, refs: _Refs, also_use: bool) -> None:
 
 def _stmt_refs(stmt) -> _Refs:
     refs = _Refs()
-    if stmt is None:
-        return refs
-    if isinstance(stmt, c_ast.Assignment):
-        _collect_assignment(stmt, refs)
-    elif isinstance(stmt, c_ast.Return):
-        _collect_uses(stmt.expr, refs)
-    else:
-        _collect_uses(stmt, refs)
+    _collect_uses(stmt, refs)
     return refs
 
 
@@ -735,9 +724,7 @@ class _CfgBuilder:
                 self._attach("statement", label, line, refs)
 
     def _build_if(self, node: c_ast.If) -> None:
-        refs = _Refs()
-        _collect_uses(node.cond, refs)
-        branch = self._attach("branch", f"if({_render(node.cond)})", _line_of(node), refs)
+        branch = self._attach("branch", _branch_label(node), _line_of(node), _stmt_refs(node.cond))
 
         self.frontier = [(branch.id, "True")]
         self._build_stmt(node.iftrue)
@@ -759,9 +746,7 @@ class _CfgBuilder:
             self.frontier = []
 
     def _build_while(self, node: c_ast.While) -> None:
-        refs = _Refs()
-        _collect_uses(node.cond, refs)
-        loop = self._attach("loop", f"while({_render(node.cond)})", _line_of(node), refs)
+        loop = self._attach("loop", _loop_label(node), _line_of(node), _stmt_refs(node.cond))
 
         breaks: list[tuple[int, str]] = []
         self.break_stack.append(breaks)
@@ -785,9 +770,7 @@ class _CfgBuilder:
         self.break_stack.pop()
         self.continue_stack.pop()
 
-        refs = _Refs()
-        _collect_uses(node.cond, refs)
-        loop = self._node("loop", f"do-while({_render(node.cond)})", _line_of(node), refs)
+        loop = self._node("loop", _loop_label(node), _line_of(node), _stmt_refs(node.cond))
         self._wire(body_exits, loop.id)
         self._wire(cont.deferred, loop.id)
         # An empty body leaves the loop node itself with id body_start: a self-loop.
@@ -804,9 +787,7 @@ class _CfgBuilder:
             else:
                 self._build_simple(node.init)
 
-        refs = _Refs()
-        _collect_uses(node.cond, refs)
-        loop = self._attach("loop", _loop_label(node), _line_of(node), refs)
+        loop = self._attach("loop", _loop_label(node), _line_of(node), _stmt_refs(node.cond))
 
         breaks: list[tuple[int, str]] = []
         cont = _ContinueCtx(target=None)
@@ -972,128 +953,89 @@ def _build_dfg(
     definition node, which is how assignments relabel a flow from one
     variable to the next.
     """
-    if not nodes:
-        return
-    entry = next(n for n in nodes if n.kind == "entry")
-    fn_name = entry.fn
-    node_ids = [n.id for n in nodes]
+    entry = nodes[0]
     by_id = {n.id: n for n in nodes}
-
     param_lines = dict(params)
 
-    # Definition sites: (site key, var, cfg node id); parameters sit on entry.
-    sites: list[tuple[int, str, int]] = []
-    for name, _line in params:
-        sites.append((len(sites), name, entry.id))
-    # Nodes reading each variable, in statement order (node ids ascend).
-    use_sites: dict[str, list[int]] = {}
-    for nid in node_ids:
-        r = refs.get(nid)
-        if r is None:
-            continue
-        for var in sorted(r.defs):
-            sites.append((len(sites), var, nid))
-        for var in r.uses:
-            use_sites.setdefault(var, []).append(nid)
-
-    gen: dict[int, set[int]] = {nid: set() for nid in node_ids}
-    kill: dict[int, set[int]] = {nid: set() for nid in node_ids}
+    # Definition sites (var, cfg node id), indexed by position: parameters
+    # sit on entry, then each node's definitions in statement order.
+    sites = [(name, entry.id) for name, _line in params]
+    for n in nodes:
+        sites.extend((var, n.id) for var in sorted(refs[n.id].defs))
     sites_by_var: dict[str, set[int]] = {}
-    for sid, var, nid in sites:
+    gen: dict[int, set[int]] = {nid: set() for nid in by_id}
+    for sid, (var, nid) in enumerate(sites):
         sites_by_var.setdefault(var, set()).add(sid)
-    for sid, var, nid in sites:
         gen[nid].add(sid)
-    for nid in node_ids:
-        killed: set[int] = set()
-        for sid in gen[nid]:
-            var = sites[sid][1]
-            killed |= sites_by_var[var] - {sid}
-        kill[nid] = killed
 
-    preds: dict[int, list[int]] = {nid: [] for nid in node_ids}
-    succs: dict[int, list[int]] = {nid: [] for nid in node_ids}
+    preds: dict[int, list[int]] = {nid: [] for nid in by_id}
+    succs: dict[int, list[int]] = {nid: [] for nid in by_id}
     for e in edges:
-        if e.src in preds and e.dst in preds:
-            preds[e.dst].append(e.src)
-            succs[e.src].append(e.dst)
+        preds[e.dst].append(e.src)
+        succs[e.src].append(e.dst)
 
-    in_sets: dict[int, set[int]] = {nid: set() for nid in node_ids}
-    out_sets: dict[int, set[int]] = {
-        nid: set(gen[nid]) for nid in node_ids
-    }
-    worklist = deque(node_ids)
-    queued = set(node_ids)
+    # A node's definitions kill every other site of the variables it defines.
+    # The lowest id goes first: ids follow statement order, so what a back
+    # edge brings to a loop joins the sweep under way instead of starting one.
+    in_sets: dict[int, set[int]] = {nid: set() for nid in by_id}
+    out_sets = {nid: set(g) for nid, g in gen.items()}
+    worklist = list(by_id)  # ascending, so already a heap
+    queued = set(by_id)
     while worklist:
-        nid = worklist.popleft()
+        nid = heapq.heappop(worklist)
         queued.discard(nid)
         new_in: set[int] = set()
         for p in preds[nid]:
             new_in |= out_sets[p]
-        new_out = gen[nid] | (new_in - kill[nid])
+        new_out = new_in.difference(*[sites_by_var[var] for var in refs[nid].defs]) | gen[nid]
         if new_in != in_sets[nid] or new_out != out_sets[nid]:
             in_sets[nid] = new_in
             out_sets[nid] = new_out
             for s in succs[nid]:
                 if s not in queued:
                     queued.add(s)
-                    worklist.append(s)
+                    heapq.heappush(worklist, s)
 
-    # DFG nodes, created lazily as edges demand them.
-    next_id = len(dfg.nodes)
-    dfg_nodes: dict[tuple, int] = {}
+    # Each site's reached uses, in statement order.
+    reached: list[list[int]] = [[] for _ in sites]
+    for nid in by_id:
+        for var in refs[nid].uses:
+            for sid in in_sets[nid].intersection(sites_by_var.get(var, ())):
+                reached[sid].append(nid)
 
-    def get_node(key: tuple, factory) -> int:
-        nonlocal next_id
-        if key not in dfg_nodes:
-            node = factory(next_id)
-            dfg.nodes.append(node)
-            dfg_nodes[key] = next_id
-            next_id += 1
-        return dfg_nodes[key]
+    # DFG nodes are named as edges first demand them.
+    dfg_ids: dict[tuple[str, str, int], int] = {}
 
-    def param_node(var: str) -> int:
-        line = param_lines[var]
-        return get_node(
-            ("param", var),
-            lambda i: DfgNode(i, var, "param", line, f"param:{var}", -1, fn_name),
-        )
+    def dfg_id(var: str, kind: str, line: int, label: str, stmt: int) -> int:
+        key = (var, kind, stmt)
+        i = dfg_ids.get(key)
+        if i is None:
+            i = dfg_ids[key] = len(dfg.nodes)
+            dfg.nodes.append(DfgNode(i, var, kind, line, label, stmt, entry.fn))
+        return i
 
-    def def_node(var: str, nid: int) -> int:
-        return get_node(
-            ("def", var, nid),
-            lambda i: DfgNode(i, var, "def", by_id[nid].line, f"def:{var}", nid, fn_name),
-        )
-
-    def use_node(var: str, nid: int) -> int:
-        cfg_node = by_id[nid]
-        kind = "sink" if cfg_node.kind in ("call", "return") else "use"
-        return get_node(
-            ("use", var, nid),
-            lambda i: DfgNode(i, var, kind, cfg_node.line, cfg_node.label, nid, fn_name),
-        )
-
+    targets: dict[tuple[int, str], list[int]] = {}
     edge_set: set[tuple[int, int]] = set()
-
-    def add_edge(src: int, dst: int) -> None:
-        if src != dst and (src, dst) not in edge_set:
-            edge_set.add((src, dst))
-            dfg.edges.append(DfgEdge(src, dst))
-
-    for sid, var, def_nid in sites:
-        is_param = def_nid == entry.id and var in param_lines
-        occurrences = [nid for nid in use_sites.get(var, ()) if sid in in_sets[nid]]
-        if not occurrences:
+    for (var, def_nid), uses in zip(sites, reached):
+        if not uses:
             continue
-        if is_param:
-            prev = param_node(var)
+        if def_nid == entry.id:
+            prev = dfg_id(var, "param", param_lines[var], f"param:{var}", -1)
         else:
-            prev = def_node(var, def_nid)
-        for nid in occurrences:
-            node_defs = refs.get(nid).defs
-            if node_defs:
-                targets = [def_node(w, nid) for w in sorted(node_defs)]
-            else:
-                targets = [use_node(var, nid)]
-            for t in targets:
-                add_edge(prev, t)
-            prev = targets[0]
+            prev = dfg_id(var, "def", by_id[def_nid].line, f"def:{var}", def_nid)
+        for nid in uses:
+            to = targets.get((nid, var))
+            if to is None:
+                cfg_node = by_id[nid]
+                defs = sorted(refs[nid].defs)
+                if defs:
+                    to = [dfg_id(w, "def", cfg_node.line, f"def:{w}", nid) for w in defs]
+                else:
+                    kind = "sink" if cfg_node.kind in ("call", "return") else "use"
+                    to = [dfg_id(var, kind, cfg_node.line, cfg_node.label, nid)]
+                targets[(nid, var)] = to
+            for dst in to:
+                if dst != prev and (prev, dst) not in edge_set:
+                    edge_set.add((prev, dst))
+                    dfg.edges.append(DfgEdge(prev, dst))
+            prev = to[0]

@@ -317,25 +317,6 @@ class KnowledgeIndex:
     def __len__(self) -> int:
         return len(self.entries)
 
-    def score(self, query: RetrievalQuery | str, entry_index: int, alpha: float = DEFAULT_ALPHA) -> float:
-        text = query.text if isinstance(query, RetrievalQuery) else query
-        q_dense, q_sparse = self._encode_query(text)
-        return hybrid_score(
-            q_dense,
-            q_sparse,
-            self.dense[entry_index],
-            self.sparse[entry_index],
-            alpha,
-        )
-
-    def _encode_query(self, text: str) -> tuple[np.ndarray, dict[str, float]]:
-        if self.encoder.fingerprint != self.fingerprint:
-            raise EncoderMismatchError(
-                f"index was built with encoder {self.fingerprint}, "
-                f"configured encoder is {self.encoder.fingerprint}"
-            )
-        return self.encoder.encode(text)
-
     def retrieve_top_k(
         self,
         query: RetrievalQuery | str,
@@ -345,8 +326,13 @@ class KnowledgeIndex:
         """Exhaustively score the corpus; descending score, CWE id breaks ties."""
         if not self.entries:
             raise EmptyCorpusError("cannot retrieve from an empty index")
+        if self.encoder.fingerprint != self.fingerprint:
+            raise EncoderMismatchError(
+                f"index was built with encoder {self.fingerprint}, "
+                f"configured encoder is {self.encoder.fingerprint}"
+            )
         text = query.text if isinstance(query, RetrievalQuery) else query
-        q_dense, q_sparse = self._encode_query(text)
+        q_dense, q_sparse = self.encoder.encode(text)
         scored = [
             (
                 entry,
@@ -477,13 +463,12 @@ def generate_queries(fn: SourceFunction, llm: ChatClient) -> list[RetrievalQuery
 def assemble_knowledge(
     results_per_query: list[list[tuple[KnowledgeEntry, float]]],
     max_entries: int = DEFAULT_MAX_ENTRIES,
-    example_char_budget: int = DEFAULT_EXAMPLE_CHAR_BUDGET,
 ) -> KnowledgeContext:
     """Merge per-query rankings in (query order, rank order), dedupe, cap.
 
     The first occurrence of a CWE id wins; the rendered passage carries each
-    entry's name, description, and example, with the example cut to the
-    configured character budget.
+    entry's name, description, and example, with the example cut to
+    ``DEFAULT_EXAMPLE_CHAR_BUDGET`` characters.
     """
     chosen: list[KnowledgeEntry] = []
     seen: set[str] = set()
@@ -494,19 +479,17 @@ def assemble_knowledge(
             seen.add(entry.cwe_id)
             chosen.append(entry)
     chosen = chosen[:max_entries]
-    return KnowledgeContext(entries=chosen, text=render_knowledge(chosen, example_char_budget))
+    return KnowledgeContext(entries=chosen, text=render_knowledge(chosen))
 
 
-def render_knowledge(
-    entries: list[KnowledgeEntry], example_char_budget: int = DEFAULT_EXAMPLE_CHAR_BUDGET
-) -> str:
+def render_knowledge(entries: list[KnowledgeEntry]) -> str:
     blocks: list[str] = []
     for entry in entries:
         lines = [f"[{entry.cwe_id}] {entry.name}".rstrip(), entry.description]
         if entry.example:
             example = entry.example
-            if example_char_budget and len(example) > example_char_budget:
-                example = example[:example_char_budget] + " [...]"
+            if len(example) > DEFAULT_EXAMPLE_CHAR_BUDGET:
+                example = example[:DEFAULT_EXAMPLE_CHAR_BUDGET] + " [...]"
             lines.append("Example:")
             lines.append(example)
         blocks.append("\n".join(lines))

@@ -15,7 +15,6 @@ __all__ = ["SemanticContext", "generate_explanation"]
 @dataclass
 class SemanticContext:
     text: str
-    source_fn: str
     degraded: bool = False
 
 
@@ -30,5 +29,5 @@ def generate_explanation(fn: SourceFunction, llm: ChatClient) -> SemanticContext
     try:
         response = llm.complete(ChatRequest(prompt=prompt, tag=f"{fn.id}:explain"))
     except LlmError:
-        return SemanticContext(text="", source_fn=fn.id, degraded=True)
-    return SemanticContext(text=response.text, source_fn=fn.id)
+        return SemanticContext(text="", degraded=True)
+    return SemanticContext(text=response.text)

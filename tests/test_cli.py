@@ -376,6 +376,37 @@ def test_evaluate_missing_prediction_is_data_error(tmp_path, dataset_path, capsy
     assert rc == 2
 
 
+@pytest.mark.parametrize("label", ["maybe", "Vulnerable", 1])
+def test_unknown_verdict_label_is_data_error(tmp_path, dataset_path, capsys, label):
+    pairs_path = tmp_path / "pairs.jsonl"
+    write_jsonl(pairs_path, [{"pair_id": "p", "vulnerable_id": "copy_bytes", "benign_id": "safe_add"}])
+    verdicts_path = tmp_path / "v.jsonl"
+    write_jsonl(
+        verdicts_path,
+        [
+            {"record": "verdict", "id": "copy_bytes", "label": label},
+            {"record": "verdict", "id": "safe_add", "label": "benign"},
+        ],
+    )
+    with pytest.raises(DatasetFormatError, match="label"):
+        load_verdicts(verdicts_path)
+    argv = ["evaluate", "--predictions", str(verdicts_path), "--dataset", str(dataset_path)]
+    assert main(argv + ["--pairs", str(pairs_path)]) == 2
+    assert "data error" in capsys.readouterr().err
+
+
+def test_resume_refuses_an_unknown_verdict_label(tmp_path, kb_path, dataset_path):
+    out = tmp_path / "v.jsonl"
+    argv = ["analyze", "--input", str(dataset_path), "--kb", str(kb_path), "--out", str(out)]
+    assert main(argv) == 0
+    data = out.read_bytes()
+    assert data.count(b'"label": "benign"') == 1
+    out.write_bytes(data.replace(b'"label": "benign"', b'"label": "maybe"'))
+    before = out.read_bytes()
+    assert main(argv) == 2
+    assert out.read_bytes() == before
+
+
 # -- config precedence --------------------------------------------------------
 
 

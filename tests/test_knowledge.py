@@ -19,6 +19,7 @@ from vulncontext.errors import (
 )
 from vulncontext.graphs import SourceFunction
 from vulncontext.knowledge import (
+    DEFAULT_EXAMPLE_CHAR_BUDGET,
     FALLBACK_QUERY_TEXT,
     KnowledgeEntry,
     KnowledgeIndex,
@@ -173,7 +174,8 @@ def test_index_rejects_foreign_files(tmp_path):
 
 def test_identical_texts_score_one_at_alpha_one(toy_index):
     for i, entry in enumerate(toy_index.entries):
-        score = toy_index.score(entry.passage, i, alpha=1.0)
+        q_dense, q_sparse = toy_index.encoder.encode(entry.passage)
+        score = hybrid_score(q_dense, q_sparse, toy_index.dense[i], toy_index.sparse[i], alpha=1.0)
         assert abs(score - 1.0) <= 1e-6
 
 
@@ -376,10 +378,11 @@ def test_rendered_context_carries_name_description_example(toy_index):
 
 
 def test_long_examples_are_cut_to_budget():
-    entry = KnowledgeEntry("CWE-1", "Big", "desc", example="x" * 5000)
-    context = assemble_knowledge([[(entry, 1.0)]], example_char_budget=100)
-    assert "x" * 100 + " [...]" in context.text
-    assert "x" * 101 not in context.text
+    budget = DEFAULT_EXAMPLE_CHAR_BUDGET
+    entry = KnowledgeEntry("CWE-1", "Big", "desc", example="x" * (budget + 500))
+    context = assemble_knowledge([[(entry, 1.0)]])
+    assert "x" * budget + " [...]" in context.text
+    assert "x" * (budget + 1) not in context.text
 
 
 @settings(max_examples=60, deadline=None)

@@ -13,7 +13,6 @@ def test_explanation_is_model_text_verbatim(copy_bytes):
     client = ScriptedChatClient(default="Copies len bytes after a bound check")
     ctx = generate_explanation(copy_bytes, client)
     assert ctx.text == "Copies len bytes after a bound check"
-    assert ctx.source_fn == "copy_bytes"
     assert not ctx.degraded
 
 
