@@ -66,6 +66,16 @@ class _Parser(argparse.ArgumentParser):
         self.exit(USAGE_EXIT, f"{self.prog}: error: {message}\n")
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer of at least 1, got {text!r}")
+    return value
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(
         prog="vulncontext",
@@ -82,7 +92,9 @@ def _build_parser() -> _Parser:
     )
     kb.add_argument("--corpus", required=True, help="path to the CWE export file")
     kb.add_argument("--out", required=True, help="path for the index file")
-    kb.add_argument("--encoder-dim", type=int, default=64, help="dense vector dimension")
+    kb.add_argument(
+        "--encoder-dim", type=_positive_int, default=64, help="dense vector dimension"
+    )
     kb.add_argument("--encoder-seed", type=int, default=0, help="encoder projection seed")
     kb.add_argument("--config", default=None, help="JSON config file")
 

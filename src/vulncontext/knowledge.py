@@ -7,18 +7,24 @@ map for lexical overlap.  Query/passage similarity is the convex combination
 
     alpha * cos(dense_q, dense_d) + (1 - alpha) * sum_t sparse_q[t] * sparse_d[t]
 
-over shared terms t.  The corpus is small (about a thousand entries), so
-retrieval scores every passage exhaustively; no approximate index is needed.
+over shared terms t.  Retrieval scores the whole corpus per query with one
+matrix-vector product for the dense side and, for the sparse side, the
+posting lists of the query's terms (built in memory from the per-entry term
+weights when the index is built or loaded).  The few entries within a small
+margin of the k-th best score are then re-scored with ``hybrid_score`` and
+ranked, so rankings and scores equal exhaustive scoring exactly.
 """
 
 from __future__ import annotations
 
 import csv
 import hashlib
+import itertools
 import json
 import re
 import xml.etree.ElementTree as ET
-from dataclasses import dataclass
+from collections import defaultdict
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -300,6 +306,20 @@ def _load_cwe_csv(text: str) -> list[KnowledgeEntry]:
 # ---------------------------------------------------------------------------
 
 
+# Approximate scores differ from ``hybrid_score`` only in the dense term: the
+# mat-vec may sum a row in another order than ``np.dot``, while the sparse
+# term is summed in the same sorted term order and is bit-identical.  Dense
+# rows and the query vector have unit norm, so by Cauchy-Schwarz either way
+# of summing a length-d dot product lands within about d * 2**-53 of the exact
+# value, and the two differ by at most about 2 * d * 2**-53 (1.4e-14 for
+# d = 64).  Term-frequency weights sum to 1, so each part of the score is at
+# most 1 and the fusion adds only a few ulps of 1.  If every score is off by
+# at most e, the k-th best approximate score is at most e above the k-th best
+# exact one, so every exact top-k entry scores within 2e of it.  The margin
+# covers 2e about 10**4 times over; the exact re-score decides the ranking.
+_SHORTLIST_MARGIN = 1e-9
+
+
 @dataclass
 class KnowledgeIndex:
     """Immutable-after-build retrieval index with both encodings precomputed."""
@@ -309,10 +329,31 @@ class KnowledgeIndex:
     sparse: list[dict[str, float]]
     encoder: ReferenceEncoder
     fingerprint: str = ""
+    # Term-major postings of ``sparse``: the entries holding term id t are
+    # _posting_entries[_posting_offsets[t]:_posting_offsets[t + 1]], each
+    # once, with their weights at the same positions.
+    _term_ids: dict[str, int] = field(init=False, compare=False, repr=False)
+    _posting_offsets: np.ndarray = field(init=False, compare=False, repr=False)
+    _posting_entries: np.ndarray = field(init=False, compare=False, repr=False)
+    _posting_weights: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not self.fingerprint:
             self.fingerprint = self.encoder.fingerprint
+        n = len(self.sparse)
+        lengths = np.fromiter(map(len, self.sparse), np.intp, n)
+        # Ids in order of first appearance; a missing key takes the next one.
+        ids = defaultdict(itertools.count().__next__)
+        terms = itertools.chain.from_iterable(self.sparse)
+        term_of = np.fromiter(map(ids.__getitem__, terms), np.intp, lengths.sum())
+        ids.default_factory = None
+        self._term_ids = ids
+        order = np.argsort(term_of)
+        counts = np.bincount(term_of, minlength=len(ids))
+        self._posting_offsets = np.concatenate(([0], np.cumsum(counts)))
+        self._posting_entries = np.repeat(np.arange(n, dtype=np.int32), lengths)[order]
+        values = itertools.chain.from_iterable(map(dict.values, self.sparse))
+        self._posting_weights = np.fromiter(values, float, len(order))[order]
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -323,7 +364,7 @@ class KnowledgeIndex:
         k: int = DEFAULT_TOP_K,
         alpha: float = DEFAULT_ALPHA,
     ) -> list[tuple[KnowledgeEntry, float]]:
-        """Exhaustively score the corpus; descending score, CWE id breaks ties."""
+        """The k best entries by ``hybrid_score``; descending score, CWE id breaks ties."""
         if not self.entries:
             raise EmptyCorpusError("cannot retrieve from an empty index")
         if self.encoder.fingerprint != self.fingerprint:
@@ -333,15 +374,32 @@ class KnowledgeIndex:
             )
         text = query.text if isinstance(query, RetrievalQuery) else query
         q_dense, q_sparse = self.encoder.encode(text)
+        if not 0.0 <= alpha <= 1.0:
+            raise ValueError("alpha must lie in [0, 1]")
+        if k <= 0:
+            return []
+        overlap = np.zeros(len(self.entries))
+        for term in sorted(q_sparse):  # hybrid_score's summation order
+            tid = self._term_ids.get(term)
+            if tid is not None:
+                span = slice(self._posting_offsets[tid], self._posting_offsets[tid + 1])
+                overlap[self._posting_entries[span]] += q_sparse[term] * self._posting_weights[span]
+        approx = alpha * (self.dense @ q_dense) + (1.0 - alpha) * overlap
+        n = len(approx)
+        if k < n:
+            kth = np.partition(approx, n - k)[n - k]
+            shortlist = np.flatnonzero(approx >= kth - _SHORTLIST_MARGIN)
+        else:
+            shortlist = range(n)
         scored = [
             (
-                entry,
+                self.entries[i],
                 hybrid_score(q_dense, q_sparse, self.dense[i], self.sparse[i], alpha),
             )
-            for i, entry in enumerate(self.entries)
+            for i in shortlist
         ]
         scored.sort(key=lambda pair: (-pair[1], _cwe_sort_key(pair[0].cwe_id)))
-        return scored[: max(k, 0)]
+        return scored[:k]
 
     # -- persistence --------------------------------------------------------
 
@@ -374,35 +432,87 @@ class KnowledgeIndex:
     @classmethod
     def load(cls, path: str | Path, encoder: ReferenceEncoder | None = None) -> "KnowledgeIndex":
         try:
-            payload = json.loads(Path(path).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
+            payload = json.loads(Path(path).read_bytes())
+        except (OSError, ValueError) as exc:
             raise CorpusFormatError(f"cannot read index {path}: {exc}") from exc
-        if payload.get("magic") != INDEX_MAGIC:
+        if not isinstance(payload, dict) or payload.get("magic") != INDEX_MAGIC:
             raise CorpusFormatError(f"{path} is not a knowledge index (bad magic)")
         if payload.get("format_version") != INDEX_FORMAT_VERSION:
             raise CorpusFormatError(
                 f"unsupported index format version {payload.get('format_version')}"
             )
-        spec = payload["encoder"]
-        if encoder is None:
-            encoder = ReferenceEncoder(dim=spec["dim"], seed=spec["seed"])
-        index = cls(
-            entries=[KnowledgeEntry(**e) for e in payload["entries"]],
-            dense=np.array(payload["dense"], dtype=float).reshape(
-                len(payload["entries"]), -1
+        spec = payload.get("encoder")
+        if not (
+            isinstance(spec, dict)
+            and type(spec.get("dim")) is int  # not a bool
+            and spec["dim"] >= 1
+            and type(spec.get("seed")) is int
+        ):
+            raise CorpusFormatError(
+                f"index {path}: encoder needs an integer dim >= 1 and an integer seed"
             )
-            if payload["entries"]
-            else np.zeros((0, spec["dim"])),
-            sparse=[dict(s) for s in payload["sparse"]],
-            encoder=encoder,
-            fingerprint=payload["fingerprint"],
-        )
+        dim = spec["dim"]
+        entries = _index_entries(payload.get("entries"))
+        if entries is None:
+            raise CorpusFormatError(f"index {path}: entries must be objects with string fields")
+        n = len(entries)
+        rows = payload.get("dense")
+        if not (
+            isinstance(rows, list)
+            and len(rows) == n
+            and all(isinstance(row, list) and len(row) == dim for row in rows)
+            and _numbers(itertools.chain.from_iterable(rows))
+        ):
+            raise CorpusFormatError(f"index {path}: dense must hold {n} rows of {dim} numbers")
+        sparse = payload.get("sparse")
+        if not (
+            isinstance(sparse, list)
+            and len(sparse) == n
+            and all(isinstance(row, dict) for row in sparse)
+            and _numbers(itertools.chain.from_iterable(map(dict.values, sparse)))
+        ):
+            raise CorpusFormatError(
+                f"index {path}: sparse must hold {n} objects mapping terms to numbers"
+            )
+        if not isinstance(payload.get("fingerprint"), str):
+            raise CorpusFormatError(f"index {path}: fingerprint must be a string")
+        if encoder is None:
+            encoder = ReferenceEncoder(dim=dim, seed=spec["seed"])
+        try:
+            index = cls(
+                entries=entries,
+                dense=np.array(rows, dtype=float).reshape(n, dim),
+                sparse=sparse,
+                encoder=encoder,
+                fingerprint=payload["fingerprint"],
+            )
+        except OverflowError as exc:  # an integer too large for a float
+            raise CorpusFormatError(f"index {path}: {exc}") from exc
+        if not (np.isfinite(index.dense).all() and np.isfinite(index._posting_weights).all()):
+            raise CorpusFormatError(f"index {path}: dense and sparse values must be finite")
         if encoder.fingerprint != index.fingerprint:
             raise EncoderMismatchError(
                 f"index {path} was built with encoder {index.fingerprint}, "
                 f"configured encoder is {encoder.fingerprint}"
             )
         return index
+
+
+def _numbers(values) -> bool:
+    """True when every value is a JSON number; a bool is not one."""
+    return set(map(type, values)) <= {int, float}
+
+
+def _index_entries(records) -> list[KnowledgeEntry] | None:
+    """The stored passages, or None unless each is an object of string fields."""
+    if not isinstance(records, list):
+        return None
+    try:
+        entries = [KnowledgeEntry(**record) for record in records]
+    except TypeError:  # not an object, or a missing or unknown field
+        return None
+    values = itertools.chain.from_iterable(map(dict.values, records))
+    return entries if set(map(type, values)) <= {str} else None
 
 
 def build_knowledge_base(

@@ -105,6 +105,17 @@ def test_build_kb_missing_corpus_exits_with_data_error(tmp_path, capsys):
     assert "data error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("dim", ["0", "-3"])
+def test_build_kb_rejects_encoder_dim_below_one_before_reading(tmp_path, capsys, dim):
+    # The corpus does not exist: reading it first would be a data error (exit 2).
+    argv = ["build-kb", "--corpus", str(tmp_path / "nope.xml"), "--out", str(tmp_path / "kb.idx")]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--encoder-dim", dim])
+    assert exc.value.code == 1
+    assert "--encoder-dim" in capsys.readouterr().err
+    assert not (tmp_path / "kb.idx").exists()
+
+
 # -- extract-context ----------------------------------------------------------
 
 
@@ -192,6 +203,46 @@ def test_analyze_missing_kb_is_data_error(tmp_path, dataset_path, capsys):
         ]
     )
     assert rc == 2
+
+
+def _drop_encoder(payload):
+    del payload["encoder"]
+
+
+def _short_dense_row(payload):
+    payload["dense"][1].pop()
+
+
+def _short_sparse(payload):
+    payload["sparse"].pop()
+
+
+def _string_entries(payload):
+    payload["entries"] = [e["cwe_id"] for e in payload["entries"]]
+
+
+def _list_payload(payload):
+    return [payload]
+
+
+def _string_weight(payload):
+    term = next(iter(payload["sparse"][0]))
+    payload["sparse"][0][term] = str(payload["sparse"][0][term])
+
+
+@pytest.mark.parametrize(
+    "damage",
+    [_drop_encoder, _short_dense_row, _short_sparse, _string_entries, _list_payload, _string_weight],
+)
+def test_analyze_malformed_index_is_data_error(tmp_path, kb_path, dataset_path, capsys, damage):
+    payload = json.loads(kb_path.read_text(encoding="utf-8"))
+    payload = damage(payload) or payload
+    kb_path.write_text(json.dumps(payload), encoding="utf-8")
+    out = tmp_path / "v.jsonl"
+    argv = ["analyze", "--input", str(dataset_path), "--kb", str(kb_path), "--out", str(out)]
+    assert main(argv) == 2
+    assert "data error" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # -- evaluate -----------------------------------------------------------------

@@ -1,8 +1,12 @@
 from __future__ import annotations
 
+import csv
+import hashlib
 import json
 import math
 import random
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,6 +37,14 @@ from vulncontext.knowledge import (
     parse_query_response,
 )
 from vulncontext.llm import ScriptedChatClient
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+
+import workloads  # noqa: E402
+
+# sha256 of ``build_knowledge_base(TOY_ENTRIES).save()`` bytes: the index file
+# format.  Recompute it only with a deliberate format change.
+TOY_INDEX_SHA256 = "785959f7ad301dadf7cd197a46396c6f863ee0f5e17a3c32c20a18d92368cda2"
 
 CWE_XML = """<?xml version="1.0" encoding="UTF-8"?>
 <Weakness_Catalog xmlns="http://cwe.mitre.org/cwe-7" Version="4.14">
@@ -130,6 +142,12 @@ def test_reindexing_is_byte_identical(tmp_path):
     build_knowledge_base(TOY_ENTRIES).save(first)
     build_knowledge_base(TOY_ENTRIES).save(second)
     assert first.read_bytes() == second.read_bytes()
+
+
+def test_index_file_bytes_are_unchanged(tmp_path):
+    path = tmp_path / "kb.idx"
+    build_knowledge_base(TOY_ENTRIES).save(path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == TOY_INDEX_SHA256
 
 
 def test_round_trip_preserves_scores(tmp_path, toy_index):
@@ -306,6 +324,43 @@ def test_randomized_corpora_match_brute_force():
             got = index.retrieve_top_k(query, k=3, alpha=alpha)
             expected = brute_force_rank(index, query, alpha)[:3]
             assert [e.cwe_id for e, _ in got] == [cid for cid, _ in expected], (trial, alpha)
+
+
+@pytest.fixture(scope="module")
+def bench_index(tmp_path_factory):
+    """The benchmark's 1000-entry synthetic corpus, read as the benchmark reads it."""
+    rows = workloads.cwe_csv_rows(901)
+    path = tmp_path_factory.mktemp("corpus") / "cwe.csv"
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        writer = csv.DictWriter(handle, fieldnames=list(rows[0]))
+        writer.writeheader()
+        writer.writerows(rows)
+    return build_knowledge_base(load_cwe_corpus(path))
+
+
+def test_top_k_matches_brute_force_at_benchmark_scale(bench_index):
+    zipf = workloads.query_zipf(901)
+    rng = random.Random("retrieval-oracle")
+    queries = [" ".join(zipf.draw(rng.randint(3, 8))) for _ in range(60)]
+    queries += [FALLBACK_QUERY_TEXT, "qqxj zzvw"]
+    corpus_terms = set().union(*bench_index.sparse)
+    assert not bench_index.encoder.sparse(queries[-1]).keys() & corpus_terms
+    n = len(bench_index)
+    for serial, query in enumerate(queries):
+        # A k past the corpus re-scores every entry, so it runs on every
+        # fourth query and the last two to keep the test short.
+        ks = (1, 2, 5, n + 5) if serial % 4 == 0 or serial >= 60 else (1, 2, 5)
+        for alpha in (0.0, 0.5, 1.0):
+            expected = brute_force_rank(bench_index, query, alpha)
+            for k in ks:
+                got = bench_index.retrieve_top_k(query, k=k, alpha=alpha)
+                assert [(e.cwe_id, s) for e, s in got] == expected[:k], (query, alpha, k)
+    # With no shared term, alpha 0 ties every entry at 0: CWE number decides.
+    ranked = bench_index.retrieve_top_k(queries[-1], k=n, alpha=0.0)
+    assert {s for _, s in ranked} == {0.0}
+    assert bench_index.retrieve_top_k(queries[0], k=0) == []
+    with pytest.raises(ValueError):
+        bench_index.retrieve_top_k(queries[0], k=2, alpha=1.5)
 
 
 # -- query generation ---------------------------------------------------------
