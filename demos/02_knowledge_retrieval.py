@@ -3,7 +3,10 @@
 Run: python demos/02_knowledge_retrieval.py
 """
 
-from vulncontext import KnowledgeEntry, build_knowledge_base
+import tempfile
+from pathlib import Path
+
+from vulncontext import KnowledgeEntry, KnowledgeIndex, build_knowledge_base
 from vulncontext.knowledge import assemble_knowledge
 
 entries = [
@@ -45,6 +48,20 @@ for alpha in (0.0, 0.5, 1.0):
     ranked = index.retrieve_top_k(query, k=4, alpha=alpha)
     line = ", ".join(f"{e.cwe_id}:{score:.3f}" for e, score in ranked)
     print(f"alpha={alpha:.1f}  {line}")
+print()
+
+# The index file is a one-line JSON header followed by numpy blocks; a
+# reloaded index ranks exactly as the one that was saved.
+with tempfile.TemporaryDirectory() as tmp:
+    path = Path(tmp) / "kb.idx"
+    index.save(path)
+    reloaded = KnowledgeIndex.load(path)
+    before = index.retrieve_top_k(query, k=4, alpha=0.5)
+    after = reloaded.retrieve_top_k(query, k=4, alpha=0.5)
+    if after != before:
+        raise SystemExit("the reloaded index ranks differently")
+    line = ", ".join(f"{e.cwe_id}:{score:.3f}" for e, score in after)
+    print(f"reloaded from {path.stat().st_size} bytes, alpha=0.5  {line}")
 print()
 
 # Per-query rankings merge in order, deduplicate, and respect the entry cap.

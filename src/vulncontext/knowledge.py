@@ -13,14 +13,24 @@ posting lists of the query's terms (built in memory from the per-entry term
 weights when the index is built or loaded).  The few entries within a small
 margin of the k-th best score are then re-scored with ``hybrid_score`` and
 ranked, so rankings and scores equal exhaustive scoring exactly.
+
+An index file (format version 2) is one line of JSON header (magic, format
+version, build metadata, encoder, fingerprint, passages, and the vocabulary
+in term-id order), a newline, and four ``.npy`` blocks: the ``(n, dim)``
+dense matrix ``<f8``, per-entry ``offsets`` ``<i8`` of length n + 1, and the
+``term_ids`` ``<i4`` and ``weights`` ``<f8`` of every entry's terms in their
+original order.  Loading rebuilds each entry's term-weight map from the
+blocks and refuses a file of any other format version.
 """
 
 from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import itertools
 import json
+import os
 import re
 import xml.etree.ElementTree as ET
 from collections import defaultdict
@@ -56,7 +66,7 @@ __all__ = [
 FALLBACK_QUERY_TEXT = "common software vulnerability patterns requiring further inspection"
 
 INDEX_MAGIC = "VCKB"
-INDEX_FORMAT_VERSION = 1
+INDEX_FORMAT_VERSION = 2
 
 DEFAULT_ALPHA = 0.5
 DEFAULT_TOP_K = 2
@@ -102,6 +112,10 @@ def _cwe_sort_key(cwe_id: str) -> tuple[int, str]:
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
 
+# Term directions cached per encoder before the cache is emptied: above the
+# vocabulary of a CWE corpus, while model-written queries add terms without end.
+_TERM_CACHE_LIMIT = 1 << 14
+
 
 class ReferenceEncoder:
     """Deterministic offline encoder.
@@ -144,6 +158,8 @@ class ReferenceEncoder:
         digest = hashlib.sha256(f"{self.seed}:{term}".encode("utf-8")).digest()
         rng = np.random.default_rng(int.from_bytes(digest[:8], "big"))
         direction = rng.standard_normal(self.dim)
+        if len(self._term_cache) >= _TERM_CACHE_LIMIT:
+            self._term_cache.clear()
         self._term_cache[term] = direction
         return direction
 
@@ -404,7 +420,24 @@ class KnowledgeIndex:
     # -- persistence --------------------------------------------------------
 
     def save(self, path: str | Path, meta: dict | None = None) -> None:
-        payload = {
+        """Write the index file: one line of JSON header, then the numeric blocks.
+
+        The file is written under a temporary name in the target's directory
+        and then moved over ``path``, so an interrupted save leaves an earlier
+        index whole.  Failing to write is a ``CorpusFormatError``.
+        """
+        path = Path(path)
+        lengths = np.fromiter(map(len, self.sparse), np.int64, len(self.sparse))
+        total = int(lengths.sum())
+        terms = itertools.chain.from_iterable(self.sparse)
+        values = itertools.chain.from_iterable(map(dict.values, self.sparse))
+        arrays = (
+            self.dense,
+            np.concatenate(([0], np.cumsum(lengths))),
+            np.fromiter(map(self._term_ids.__getitem__, terms), np.int32, total),
+            np.fromiter(values, float, total),
+        )
+        header = {
             "magic": INDEX_MAGIC,
             "format_version": INDEX_FORMAT_VERSION,
             "meta": meta or {},
@@ -423,25 +456,43 @@ class KnowledgeIndex:
                 }
                 for e in self.entries
             ],
-            "dense": [[float(x) for x in row] for row in self.dense],
-            "sparse": self.sparse,
+            "terms": list(self._term_ids),  # term id order
         }
-        data = json.dumps(payload, sort_keys=True, ensure_ascii=False, separators=(",", ":"))
-        Path(path).write_text(data, encoding="utf-8")
+        # JSON escapes every newline inside a string, so the first one ends the header.
+        line = json.dumps(header, sort_keys=True, ensure_ascii=False, separators=(",", ":"))
+        temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+        try:
+            with open(temp, "wb") as handle:
+                handle.write(line.encode("utf-8") + b"\n")
+                for (_, dtype), array in zip(_INDEX_BLOCKS, arrays):
+                    np.save(handle, np.asarray(array, dtype=dtype), allow_pickle=False)
+            os.replace(temp, path)
+        except OSError as exc:
+            raise CorpusFormatError(f"cannot write index {path}: {exc}") from exc
+        finally:
+            temp.unlink(missing_ok=True)
 
     @classmethod
     def load(cls, path: str | Path, encoder: ReferenceEncoder | None = None) -> "KnowledgeIndex":
         try:
-            payload = json.loads(Path(path).read_bytes())
-        except (OSError, ValueError) as exc:
+            raw = Path(path).read_bytes()
+        except OSError as exc:
             raise CorpusFormatError(f"cannot read index {path}: {exc}") from exc
-        if not isinstance(payload, dict) or payload.get("magic") != INDEX_MAGIC:
+        newline = raw.find(b"\n")
+        line = raw if newline < 0 else raw[:newline]
+        try:
+            header = json.loads(line)
+        except ValueError as exc:
+            raise CorpusFormatError(f"cannot read index {path}: {exc}") from exc
+        if not isinstance(header, dict) or header.get("magic") != INDEX_MAGIC:
             raise CorpusFormatError(f"{path} is not a knowledge index (bad magic)")
-        if payload.get("format_version") != INDEX_FORMAT_VERSION:
+        version = header.get("format_version")
+        if version != INDEX_FORMAT_VERSION:
             raise CorpusFormatError(
-                f"unsupported index format version {payload.get('format_version')}"
+                f"index {path} has format version {version!r}, but only version "
+                f"{INDEX_FORMAT_VERSION} can be read; rebuild it with `vulncontext build-kb`"
             )
-        spec = payload.get("encoder")
+        spec = header.get("encoder")
         if not (
             isinstance(spec, dict)
             and type(spec.get("dim")) is int  # not a bool
@@ -451,45 +502,49 @@ class KnowledgeIndex:
             raise CorpusFormatError(
                 f"index {path}: encoder needs an integer dim >= 1 and an integer seed"
             )
-        dim = spec["dim"]
-        entries = _index_entries(payload.get("entries"))
+        entries = _index_entries(header.get("entries"))
         if entries is None:
             raise CorpusFormatError(f"index {path}: entries must be objects with string fields")
-        n = len(entries)
-        rows = payload.get("dense")
+        terms = header.get("terms")
+        if not (isinstance(terms, list) and set(map(type, terms)) <= {str}):
+            raise CorpusFormatError(f"index {path}: terms must be a list of strings")
+        if not isinstance(header.get("fingerprint"), str):
+            raise CorpusFormatError(f"index {path}: fingerprint must be a string")
+        dense, offsets, term_ids, weights = _read_blocks(raw, len(line) + 1, path)
+        n, dim = len(entries), spec["dim"]
+        if dense.shape != (n, dim) or not np.isfinite(dense).all():
+            raise CorpusFormatError(
+                f"index {path}: dense must hold {n} rows of {dim} finite numbers"
+            )
+        pairs = len(term_ids)
         if not (
-            isinstance(rows, list)
-            and len(rows) == n
-            and all(isinstance(row, list) and len(row) == dim for row in rows)
-            and _numbers(itertools.chain.from_iterable(rows))
-        ):
-            raise CorpusFormatError(f"index {path}: dense must hold {n} rows of {dim} numbers")
-        sparse = payload.get("sparse")
-        if not (
-            isinstance(sparse, list)
-            and len(sparse) == n
-            and all(isinstance(row, dict) for row in sparse)
-            and _numbers(itertools.chain.from_iterable(map(dict.values, sparse)))
+            offsets.shape == (n + 1,)
+            and offsets[0] == 0
+            and offsets[-1] == pairs
+            and (np.diff(offsets) >= 0).all()
         ):
             raise CorpusFormatError(
-                f"index {path}: sparse must hold {n} objects mapping terms to numbers"
+                f"index {path}: offsets must hold {n + 1} non-decreasing bounds from 0 to {pairs}"
             )
-        if not isinstance(payload.get("fingerprint"), str):
-            raise CorpusFormatError(f"index {path}: fingerprint must be a string")
+        if term_ids.ndim != 1 or (pairs and not 0 <= term_ids.min() <= term_ids.max() < len(terms)):
+            raise CorpusFormatError(f"index {path}: term ids must index the {len(terms)} terms")
+        if weights.shape != (pairs,) or not np.isfinite(weights).all():
+            raise CorpusFormatError(f"index {path}: weights must hold {pairs} finite numbers")
+        names = np.array(terms, dtype=object)[term_ids].tolist()
+        values = weights.tolist()
+        bounds = offsets.tolist()
+        sparse = [dict(zip(names[a:b], values[a:b])) for a, b in zip(bounds, bounds[1:])]
+        if sum(map(len, sparse)) != pairs:
+            raise CorpusFormatError(f"index {path}: a term repeats within one entry")
         if encoder is None:
             encoder = ReferenceEncoder(dim=dim, seed=spec["seed"])
-        try:
-            index = cls(
-                entries=entries,
-                dense=np.array(rows, dtype=float).reshape(n, dim),
-                sparse=sparse,
-                encoder=encoder,
-                fingerprint=payload["fingerprint"],
-            )
-        except OverflowError as exc:  # an integer too large for a float
-            raise CorpusFormatError(f"index {path}: {exc}") from exc
-        if not (np.isfinite(index.dense).all() and np.isfinite(index._posting_weights).all()):
-            raise CorpusFormatError(f"index {path}: dense and sparse values must be finite")
+        index = cls(
+            entries=entries,
+            dense=dense,
+            sparse=sparse,
+            encoder=encoder,
+            fingerprint=header["fingerprint"],
+        )
         if encoder.fingerprint != index.fingerprint:
             raise EncoderMismatchError(
                 f"index {path} was built with encoder {index.fingerprint}, "
@@ -498,9 +553,30 @@ class KnowledgeIndex:
         return index
 
 
-def _numbers(values) -> bool:
-    """True when every value is a JSON number; a bool is not one."""
-    return set(map(type, values)) <= {int, float}
+# The numeric blocks that follow the header line, in file order, with the
+# little-endian dtype each must carry.
+_INDEX_BLOCKS = (("dense", "<f8"), ("offsets", "<i8"), ("term_ids", "<i4"), ("weights", "<f8"))
+
+
+def _read_blocks(raw: bytes, start: int, path) -> list[np.ndarray]:
+    """The ``.npy`` blocks stored from byte ``start`` to the end of ``raw``."""
+    stream = io.BytesIO(raw)
+    stream.seek(start)
+    blocks = []
+    for name, dtype in _INDEX_BLOCKS:
+        try:
+            block = np.lib.format.read_array(stream, allow_pickle=False)
+        except (ValueError, MemoryError) as exc:  # a cut, pickled or oversized block
+            raise CorpusFormatError(f"index {path}: cannot read the {name} block: {exc}") from exc
+        if block.dtype != np.dtype(dtype):
+            raise CorpusFormatError(
+                f"index {path}: the {name} block must be {dtype}, not {block.dtype}"
+            )
+        blocks.append(block)
+    extra = len(raw) - stream.tell()
+    if extra:
+        raise CorpusFormatError(f"index {path}: {extra} bytes after the last block")
+    return blocks
 
 
 def _index_entries(records) -> list[KnowledgeEntry] | None:

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import io
 import json
 
+import numpy as np
 import pytest
 
 from fixtures import COPY_BYTES, GOLDEN_T_AST, GOLDEN_T_CFG, GOLDEN_T_DFG
@@ -30,6 +32,24 @@ CWE_XML = """<?xml version="1.0"?>
   </Weaknesses>
 </Weakness_Catalog>
 """
+
+
+INDEX_BLOCKS = ("dense", "offsets", "term_ids", "weights")
+
+
+def split_index(raw):
+    """An index file's JSON header and its numeric blocks by name."""
+    line, _, rest = raw.partition(b"\n")
+    stream = io.BytesIO(rest)
+    return json.loads(line), {name: np.load(stream) for name in INDEX_BLOCKS}
+
+
+def join_index(header, blocks):
+    stream = io.BytesIO()
+    stream.write(json.dumps(header).encode("utf-8") + b"\n")
+    for name in INDEX_BLOCKS:
+        np.save(stream, blocks[name])
+    return stream.getvalue()
 
 
 def write_jsonl(path, records):
@@ -91,12 +111,23 @@ def test_malformed_jsonl_is_rejected(tmp_path):
 
 
 def test_build_kb_writes_versioned_index(kb_path):
-    payload = json.loads(kb_path.read_text(encoding="utf-8"))
-    assert payload["magic"] == "VCKB"
-    assert payload["format_version"] == 1
-    assert payload["fingerprint"]
-    assert payload["meta"]["tool_version"]
-    assert len(payload["entries"]) == 3
+    header, blocks = split_index(kb_path.read_bytes())
+    assert header["magic"] == "VCKB"
+    assert header["format_version"] == 2
+    assert header["fingerprint"]
+    assert header["meta"]["tool_version"]
+    assert len(header["entries"]) == 3
+    assert blocks["dense"].shape == (3, 64)
+    assert len(blocks["offsets"]) == 4
+
+
+def test_build_kb_unwritable_out_is_data_error(tmp_path, capsys):
+    corpus = tmp_path / "cwe.xml"
+    corpus.write_text(CWE_XML, encoding="utf-8")
+    out = tmp_path / "missing" / "kb.idx"
+    assert main(["build-kb", "--corpus", str(corpus), "--out", str(out)]) == 2
+    assert "cannot write index" in capsys.readouterr().err
+    assert not out.parent.exists()
 
 
 def test_build_kb_missing_corpus_exits_with_data_error(tmp_path, capsys):
@@ -205,43 +236,98 @@ def test_analyze_missing_kb_is_data_error(tmp_path, dataset_path, capsys):
     assert rc == 2
 
 
-def _drop_encoder(payload):
-    del payload["encoder"]
+def _drop_encoder(header, blocks):
+    del header["encoder"]
 
 
-def _short_dense_row(payload):
-    payload["dense"][1].pop()
+def _short_dense_row(header, blocks):
+    blocks["dense"] = blocks["dense"][:, :-1]
 
 
-def _short_sparse(payload):
-    payload["sparse"].pop()
+def _short_sparse(header, blocks):
+    blocks["offsets"] = blocks["offsets"][:-1]
 
 
-def _string_entries(payload):
-    payload["entries"] = [e["cwe_id"] for e in payload["entries"]]
+def _string_entries(header, blocks):
+    header["entries"] = [e["cwe_id"] for e in header["entries"]]
 
 
-def _list_payload(payload):
-    return [payload]
+def _list_payload(header, blocks):
+    return join_index([header], blocks)
 
 
-def _string_weight(payload):
-    term = next(iter(payload["sparse"][0]))
-    payload["sparse"][0][term] = str(payload["sparse"][0][term])
+def _string_weight(header, blocks):
+    blocks["weights"] = blocks["weights"].astype(str)
+
+
+def _cut_inside_block(header, blocks):
+    return join_index(header, blocks)[:-5]
+
+
+def _trailing_bytes(header, blocks):
+    return join_index(header, blocks) + bytes(8)
+
+
+def _term_id_past_terms(header, blocks):
+    blocks["term_ids"][0] = len(header["terms"])
+
+
+def _decreasing_offsets(header, blocks):
+    blocks["offsets"][1] = blocks["offsets"][2] + 1
+
+
+def _term_repeated_in_entry(header, blocks):
+    assert blocks["offsets"][1] >= 2
+    blocks["term_ids"][1] = blocks["term_ids"][0]
+
+
+def _nan_dense(header, blocks):
+    blocks["dense"][0, 0] = float("nan")
+
+
+def _pickled_block(header, blocks):
+    blocks["weights"] = blocks["weights"].astype(object)
 
 
 @pytest.mark.parametrize(
     "damage",
-    [_drop_encoder, _short_dense_row, _short_sparse, _string_entries, _list_payload, _string_weight],
+    [
+        _drop_encoder,
+        _short_dense_row,
+        _short_sparse,
+        _string_entries,
+        _list_payload,
+        _string_weight,
+        _cut_inside_block,
+        _trailing_bytes,
+        _term_id_past_terms,
+        _decreasing_offsets,
+        _term_repeated_in_entry,
+        _nan_dense,
+        _pickled_block,
+    ],
 )
 def test_analyze_malformed_index_is_data_error(tmp_path, kb_path, dataset_path, capsys, damage):
-    payload = json.loads(kb_path.read_text(encoding="utf-8"))
-    payload = damage(payload) or payload
-    kb_path.write_text(json.dumps(payload), encoding="utf-8")
+    header, blocks = split_index(kb_path.read_bytes())
+    kb_path.write_bytes(damage(header, blocks) or join_index(header, blocks))
     out = tmp_path / "v.jsonl"
     argv = ["analyze", "--input", str(dataset_path), "--kb", str(kb_path), "--out", str(out)]
     assert main(argv) == 2
     assert "data error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_analyze_version_1_index_asks_for_rebuild(tmp_path, kb_path, dataset_path, capsys):
+    # Version 1 stored everything as JSON, the dense rows and term maps included.
+    header, blocks = split_index(kb_path.read_bytes())
+    payload = {**header, "format_version": 1, "dense": blocks["dense"].tolist()}
+    payload["sparse"] = [{} for _ in payload["entries"]]
+    kb_path.write_text(json.dumps(payload), encoding="utf-8")
+    out = tmp_path / "v.jsonl"
+    argv = ["analyze", "--input", str(dataset_path), "--kb", str(kb_path), "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "data error" in err and "version 1" in err and "build-kb" in err
     assert not out.exists()
 
 

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from fixtures import TOY_ENTRIES
 
+from vulncontext import knowledge
 from vulncontext.errors import (
     CorpusFormatError,
     EmptyCorpusError,
@@ -43,8 +44,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import workloads  # noqa: E402
 
 # sha256 of ``build_knowledge_base(TOY_ENTRIES).save()`` bytes: the index file
-# format.  Recompute it only with a deliberate format change.
-TOY_INDEX_SHA256 = "785959f7ad301dadf7cd197a46396c6f863ee0f5e17a3c32c20a18d92368cda2"
+# format.  Recompute it only with a deliberate format change (last: format
+# version 2, the JSON header line followed by numpy blocks).
+TOY_INDEX_SHA256 = "3a30acdc3aa4bc74bf0a297c3afb60ac1ff30c1da0e7f97aead3f6e09d5d645c"
 
 CWE_XML = """<?xml version="1.0" encoding="UTF-8"?>
 <Weakness_Catalog xmlns="http://cwe.mitre.org/cwe-7" Version="4.14">
@@ -162,12 +164,14 @@ def test_round_trip_preserves_scores(tmp_path, toy_index):
 
 
 def test_index_with_stored_alpha_still_loads(tmp_path, toy_index):
-    # Older indexes stored a fusion weight that retrieval never read.
+    # Older indexes stored a fusion weight that retrieval never read; an
+    # extra header key is ignored.
     path = tmp_path / "kb.idx"
     toy_index.save(path)
-    payload = json.loads(path.read_text(encoding="utf-8"))
-    assert "alpha" not in payload
-    path.write_text(json.dumps({**payload, "alpha": 0.9}), encoding="utf-8")
+    line, _, blocks = path.read_bytes().partition(b"\n")
+    header = json.loads(line)
+    assert "alpha" not in header
+    path.write_bytes(json.dumps({**header, "alpha": 0.9}).encode("utf-8") + b"\n" + blocks)
     reloaded = KnowledgeIndex.load(path)
     query = "buffer overflow write"
     assert reloaded.retrieve_top_k(query, k=5) == toy_index.retrieve_top_k(query, k=5)
@@ -178,6 +182,46 @@ def test_encoder_mismatch_is_detected(tmp_path, toy_index):
     toy_index.save(path)
     with pytest.raises(EncoderMismatchError):
         KnowledgeIndex.load(path, encoder=ReferenceEncoder(seed=99))
+
+
+@pytest.mark.parametrize("interrupt", [OSError(28, "No space left on device"), KeyboardInterrupt()])
+def test_failed_save_keeps_the_old_index(tmp_path, toy_index, monkeypatch, interrupt):
+    path = tmp_path / "kb.idx"
+    toy_index.save(path)
+    before = path.read_bytes()
+    real_save = np.save
+    written = []
+
+    def save_then_fail(file, array, **kwargs):
+        if written:  # the header and the first block are already written
+            raise interrupt
+        written.append(array)
+        real_save(file, array, **kwargs)
+
+    monkeypatch.setattr(np, "save", save_then_fail)
+    expected = CorpusFormatError if isinstance(interrupt, OSError) else KeyboardInterrupt
+    with pytest.raises(expected):
+        build_knowledge_base(TOY_ENTRIES[:2]).save(path)
+    assert written
+    assert path.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [path]
+
+
+@pytest.mark.parametrize("size", [0, 1])
+def test_round_trip_of_tiny_index(tmp_path, size):
+    index = build_knowledge_base(TOY_ENTRIES[:size])
+    path = tmp_path / "kb.idx"
+    index.save(path)
+    reloaded = KnowledgeIndex.load(path)
+    assert reloaded.entries == index.entries
+    assert reloaded.dense.shape == (size, 64)
+    assert reloaded.dense.tobytes() == index.dense.tobytes()
+    assert [list(row.items()) for row in reloaded.sparse] == [
+        list(row.items()) for row in index.sparse
+    ]
+    if size:
+        query = TOY_ENTRIES[0].name
+        assert reloaded.retrieve_top_k(query, k=1) == index.retrieve_top_k(query, k=1)
 
 
 def test_index_rejects_foreign_files(tmp_path):
@@ -338,11 +382,17 @@ def bench_index(tmp_path_factory):
     return build_knowledge_base(load_cwe_corpus(path))
 
 
-def test_top_k_matches_brute_force_at_benchmark_scale(bench_index):
+def bench_queries() -> list[str]:
+    """60 seeded benchmark-vocabulary queries, the fallback query, and one
+    query sharing no term with the benchmark corpus."""
     zipf = workloads.query_zipf(901)
     rng = random.Random("retrieval-oracle")
     queries = [" ".join(zipf.draw(rng.randint(3, 8))) for _ in range(60)]
-    queries += [FALLBACK_QUERY_TEXT, "qqxj zzvw"]
+    return queries + [FALLBACK_QUERY_TEXT, "qqxj zzvw"]
+
+
+def test_top_k_matches_brute_force_at_benchmark_scale(bench_index):
+    queries = bench_queries()
     corpus_terms = set().union(*bench_index.sparse)
     assert not bench_index.encoder.sparse(queries[-1]).keys() & corpus_terms
     n = len(bench_index)
@@ -361,6 +411,40 @@ def test_top_k_matches_brute_force_at_benchmark_scale(bench_index):
     assert bench_index.retrieve_top_k(queries[0], k=0) == []
     with pytest.raises(ValueError):
         bench_index.retrieve_top_k(queries[0], k=2, alpha=1.5)
+
+
+def test_round_trip_is_exact_at_benchmark_scale(tmp_path, bench_index):
+    path = tmp_path / "kb.idx"
+    bench_index.save(path)
+    reloaded = KnowledgeIndex.load(path)
+    assert reloaded.dense.tobytes() == bench_index.dense.tobytes()
+    assert [list(row.items()) for row in reloaded.sparse] == [
+        list(row.items()) for row in bench_index.sparse
+    ]
+    assert list(reloaded._term_ids.items()) == list(bench_index._term_ids.items())
+    for name in ("_posting_offsets", "_posting_entries", "_posting_weights"):
+        assert np.array_equal(getattr(reloaded, name), getattr(bench_index, name)), name
+    for query in bench_queries():
+        for alpha in (0.0, 0.5, 1.0):
+            for k in (1, 2, 5):
+                before = bench_index.retrieve_top_k(query, k=k, alpha=alpha)
+                after = reloaded.retrieve_top_k(query, k=k, alpha=alpha)
+                assert [(e.cwe_id, s.hex()) for e, s in after] == [
+                    (e.cwe_id, s.hex()) for e, s in before
+                ], (query, alpha, k)
+
+
+def test_term_cache_stays_bounded_and_exact():
+    encoder = ReferenceEncoder()
+    text = "buffer overflow writes past the end"
+    before = encoder.dense(text)
+    largest = 0
+    for start in range(0, 20_000, 500):
+        encoder.encode(" ".join(f"fresh{i}" for i in range(start, start + 500)))
+        largest = max(largest, len(encoder._term_cache))
+    assert largest <= knowledge._TERM_CACHE_LIMIT < 20_000
+    assert "buffer" not in encoder._term_cache  # dropped by a clear
+    assert encoder.dense(text).tobytes() == before.tobytes()
 
 
 # -- query generation ---------------------------------------------------------
