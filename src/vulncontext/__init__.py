@@ -19,6 +19,7 @@ from .errors import (  # noqa: F401
     MissingPredictionError,
     QueryParseError,
     SourceSyntaxError,
+    SourceTooDeepError,
     TriageError,
     UnsupportedLanguageError,
     VerdictParseError,

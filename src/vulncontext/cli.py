@@ -76,6 +76,16 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _fraction(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0 < value <= 1:  # also false for nan
+        raise argparse.ArgumentTypeError(f"expected a number in (0, 1], got {text!r}")
+    return value
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(
         prog="vulncontext",
@@ -122,7 +132,7 @@ def _build_parser() -> _Parser:
     an.add_argument("--out", required=True, help="verdicts output path (JSONL)")
     an.add_argument("--level", choices=["A", "B", "C"], default=None)
     an.add_argument("--config", default=None, help="JSON config file")
-    an.add_argument("--workers", type=int, default=None, help="concurrent functions")
+    an.add_argument("--workers", type=_positive_int, default=None, help="concurrent functions")
     an.add_argument(
         "--no-resume", action="store_true", help="start the output file over instead of resuming"
     )
@@ -137,7 +147,9 @@ def _build_parser() -> _Parser:
     ev.add_argument("--pairs", required=True, help="pair manifest (JSONL)")
     ev.add_argument("--baseline", default=None, help="second verdicts file for McNemar")
     ev.add_argument("--out", default=None, help="write the machine-readable report here")
-    ev.add_argument("--sample-fraction", type=float, default=1.0, help="seeded pair sampling")
+    ev.add_argument(
+        "--sample-fraction", type=_fraction, default=1.0, help="seeded pair sampling, in (0, 1]"
+    )
     ev.add_argument("--seed", type=int, default=None, help="sampling seed")
     ev.add_argument("--config", default=None, help="JSON config file")
 

@@ -20,6 +20,10 @@ class SourceSyntaxError(VulnContextError):
         self.column = column
 
 
+class SourceTooDeepError(SourceSyntaxError):
+    """The input nests deeper than the C parser's recursion can follow."""
+
+
 class MissingPlaceholderError(VulnContextError):
     """A verbalization template field has no source value and no omission rule."""
 

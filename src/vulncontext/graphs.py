@@ -1,13 +1,19 @@
 """C source frontend: one parse produces the AST, CFG, and DFG of a function.
 
+C is the only language; any other raises ``UnsupportedLanguageError``.  Input
+that nests deeper than pycparser's recursion allows raises
+``SourceTooDeepError``, any other rejected input ``SourceSyntaxError``.
+
 The abstract syntax tree is a lowering of pycparser's concrete tree onto a
 small set of semantic node kinds; grammar plumbing such as ``TypeDecl`` and
 ``PtrDecl`` survives as ``type-expansion`` nodes so later filtering stages can
-strip it.  The control-flow graph allocates one node per statement or
-condition, with explicit join nodes after branch constructs and an implicit
-end-of-body node for functions whose control can fall off the closing brace.
-The data-flow graph links each definition to its subsequent uses (reaching
-definitions, intraprocedural, by variable name).
+strip it.  The finished tree is numbered once, in preorder.  The control-flow
+graph allocates one node per statement or condition, with explicit join nodes
+after branch constructs and an implicit end-of-body node for functions whose
+control can fall off the closing brace.  One walk over each statement finds
+the names it reads and writes and its first call; a statement that holds a
+call becomes a call node.  The data-flow graph links each definition to its
+subsequent uses (reaching definitions, intraprocedural, by variable name).
 
 Counting rules are fixed module constants, calibrated so that a bounded-copy
 function with three parameters, one guarded length check, and one memcpy call
@@ -31,7 +37,7 @@ from dataclasses import dataclass, field
 
 from pycparser import CParser, c_ast, c_generator
 
-from .errors import SourceSyntaxError, UnsupportedLanguageError
+from .errors import SourceSyntaxError, SourceTooDeepError, UnsupportedLanguageError
 
 __all__ = [
     "SourceFunction",
@@ -46,7 +52,6 @@ __all__ = [
     "CategoryCounts",
     "parse",
     "count_ast_categories",
-    "register_frontend",
 ]
 
 VALID_LABELS = ("vulnerable", "benign")
@@ -77,7 +82,8 @@ class AstNode:
     ``kind`` is one of: function-def, declaration, assignment, branch, loop,
     call, return, operator, identifier, constant, type-expansion, and a few
     statement-level kinds (break, continue, goto, label, statement, unit).
-    ``role`` distinguishes parameter declarations from body declarations.
+    ``role`` distinguishes parameter declarations from body declarations;
+    ``uid`` is the node's preorder index in the parsed tree.
     """
 
     kind: str
@@ -88,9 +94,12 @@ class AstNode:
     uid: int = -1
 
     def walk(self):
-        yield self
-        for child in self.children:
-            yield from child.walk()
+        """Yield this node and its descendants in preorder."""
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            yield node
+            stack.extend(reversed(node.children))
 
 
 @dataclass(frozen=True)
@@ -195,22 +204,13 @@ _TYPEDEF_PROLOGUE = (
 def parse(fn: SourceFunction) -> GraphBundle:
     """Parse one source function into its AST, CFG, and DFG.
 
-    Raises SourceSyntaxError when the grammar rejects the input and
-    UnsupportedLanguageError when no frontend is registered for
-    ``fn.language``.
+    Raises SourceSyntaxError when the grammar rejects the input (its
+    SourceTooDeepError subclass when the input nests too deeply to parse) and
+    UnsupportedLanguageError when ``fn.language`` is not C.
     """
-    language = fn.language.lower()
-    frontend = _FRONTENDS.get(language)
-    if frontend is None:
-        raise UnsupportedLanguageError(
-            f"no frontend registered for language {fn.language!r}"
-        )
-    return frontend(fn)
-
-
-def register_frontend(language: str, frontend) -> None:
-    """Register a parser for another language behind the GraphBundle contract."""
-    _FRONTENDS[language.lower()] = frontend
+    if fn.language.lower() != "c":
+        raise UnsupportedLanguageError(f"only C is supported, not {fn.language!r}")
+    return _parse_c(fn)
 
 
 def count_ast_categories(ast: AstNode) -> CategoryCounts:
@@ -250,6 +250,8 @@ def _parse_c(fn: SourceFunction) -> GraphBundle:
     text = _TYPEDEF_PROLOGUE + f'# 1 "{_safe_name(fn.id)}"\n' + fn.code
     try:
         unit = CParser().parse(text, filename=_safe_name(fn.id))
+    except RecursionError as exc:
+        raise SourceTooDeepError("statements or expressions nest too deeply to parse") from exc
     except Exception as exc:  # pycparser raises plyparser.ParseError
         message = str(exc)
         match = _PARSE_ERROR_RE.search(message)
@@ -262,13 +264,13 @@ def _parse_c(fn: SourceFunction) -> GraphBundle:
     if not func_defs:
         raise SourceSyntaxError("input contains no function definition")
 
-    lowerer = _AstLowerer()
-    roots = [lowerer.lower_funcdef(fd) for fd in func_defs]
+    roots = [_lower_funcdef(fd) for fd in func_defs]
     if len(roots) == 1:
         ast_root = roots[0]
     else:
         ast_root = AstNode(kind="unit", name=None, line=roots[0].line, children=roots)
-        lowerer.assign_uid(ast_root)
+    for uid, node in enumerate(ast_root.walk()):
+        node.uid = uid
 
     cfg = CfgGraph()
     dfg = DfgGraph()
@@ -278,8 +280,7 @@ def _parse_c(fn: SourceFunction) -> GraphBundle:
         fn_nodes, fn_edges, refs, params = cfg_builder.build_function(fd, start_id=next_id)
         cfg.nodes.extend(fn_nodes)
         cfg.edges.extend(fn_edges)
-        if fn_nodes:
-            next_id = max(n.id for n in fn_nodes) + 1
+        next_id = max(n.id for n in fn_nodes) + 1
         _build_dfg(fn_nodes, fn_edges, refs, params, dfg)
     return GraphBundle(ast=ast_root, cfg=cfg, dfg=dfg, source=fn)
 
@@ -287,8 +288,6 @@ def _parse_c(fn: SourceFunction) -> GraphBundle:
 def _safe_name(name: str) -> str:
     return re.sub(r"[^\w.-]", "_", name) or "input"
 
-
-_FRONTENDS = {"c": _parse_c}
 
 _GEN = c_generator.CGenerator()
 
@@ -337,125 +336,95 @@ _OPERATOR_NODES = (
 _SPLICE_NODES = (c_ast.Compound, c_ast.DeclList, c_ast.ParamList, c_ast.ExprList)
 
 
-class _AstLowerer:
-    """Lower pycparser's concrete tree to AstNode, assigning preorder uids."""
+def _lower_funcdef(fd: c_ast.FuncDef) -> AstNode:
+    line = _line_of(fd)
+    root = AstNode(kind="function-def", name=fd.decl.name, line=line)
+    func_decl = fd.decl.type
+    if isinstance(func_decl, c_ast.FuncDecl) and func_decl.args is not None:
+        for param in func_decl.args.params:
+            if isinstance(param, c_ast.Decl) and param.name:
+                root.children.append(_lower_decl(param, role="param"))
+            else:
+                root.children.extend(_lower(param))
+    # Return-type machinery is grammar noise.
+    return_type = AstNode("type-expansion", type(func_decl).__name__, _line_of(func_decl, line))
+    root.children.append(return_type)
+    if fd.body is not None:
+        root.children.extend(_lower(fd.body))
+    return root
 
-    def __init__(self):
-        self._next_uid = 0
 
-    def assign_uid(self, node: AstNode) -> None:
-        node.uid = self._next_uid
-        self._next_uid += 1
+def _lower_decl(decl: c_ast.Decl, role: str | None = None) -> AstNode:
+    line = _line_of(decl)
+    node = AstNode(kind="declaration", name=decl.name, line=line, role=role)
+    node.children.extend(_lower_type_chain(decl.type, line))
+    if decl.init is not None:
+        node.children.append(AstNode("assignment", "=", line, children=_lower(decl.init)))
+    return node
 
-    def lower_funcdef(self, fd: c_ast.FuncDef) -> AstNode:
-        line = _line_of(fd)
-        root = AstNode(kind="function-def", name=fd.decl.name, line=line)
-        self.assign_uid(root)
-        func_decl = fd.decl.type
-        if isinstance(func_decl, c_ast.FuncDecl) and func_decl.args is not None:
-            for param in func_decl.args.params:
-                if isinstance(param, c_ast.Decl) and param.name:
-                    root.children.append(self._lower_decl(param, role="param"))
-                else:
-                    root.children.extend(self._lower(param))
-        # Return-type machinery is grammar noise.
-        root.children.append(self._type_expansion_node(func_decl, line))
-        if fd.body is not None:
-            root.children.extend(self._lower(fd.body))
-        return root
 
-    def _type_expansion_node(self, node, line: int) -> AstNode:
-        out = AstNode(
-            kind="type-expansion",
-            name=type(node).__name__,
-            line=_line_of(node, line),
-        )
-        self.assign_uid(out)
-        return out
+def _lower_type_chain(tnode, line: int) -> list[AstNode]:
+    if tnode is None:
+        return []
+    if isinstance(tnode, _TYPE_EXPANSION):
+        out = AstNode(kind="type-expansion", name=type(tnode).__name__, line=_line_of(tnode, line))
+        for _, child in tnode.children():
+            out.children.extend(_lower_type_chain(child, line))
+        return [out]
+    return _lower(tnode)
 
-    def _lower_decl(self, decl: c_ast.Decl, role: str | None = None) -> AstNode:
-        line = _line_of(decl)
-        node = AstNode(kind="declaration", name=decl.name, line=line, role=role)
-        self.assign_uid(node)
-        node.children.extend(self._lower_type_chain(decl.type, line))
-        if decl.init is not None:
-            assign = AstNode(kind="assignment", name="=", line=line)
-            self.assign_uid(assign)
-            assign.children.extend(self._lower(decl.init))
-            node.children.append(assign)
-        return node
 
-    def _lower_type_chain(self, tnode, line: int) -> list[AstNode]:
-        if tnode is None:
-            return []
-        if isinstance(tnode, _TYPE_EXPANSION):
-            out = AstNode(
-                kind="type-expansion",
-                name=type(tnode).__name__,
-                line=_line_of(tnode, line),
-            )
-            self.assign_uid(out)
-            for _, child in tnode.children():
-                out.children.extend(self._lower_type_chain(child, line))
-            return [out]
-        return self._lower(tnode)
-
-    def _lower(self, node) -> list[AstNode]:
-        """Lower an arbitrary pycparser node to zero or more AstNodes."""
-        if node is None:
-            return []
-        line = _line_of(node)
-
-        if isinstance(node, _SPLICE_NODES):
-            out: list[AstNode] = []
-            for _, child in node.children():
-                out.extend(self._lower(child))
-            return out
-
-        if isinstance(node, c_ast.Decl):
-            return [self._lower_decl(node)]
-
-        if isinstance(node, c_ast.FuncDef):
-            return [self.lower_funcdef(node)]
-
-        kind, name = self._classify(node)
-        lowered = AstNode(kind=kind, name=name, line=line)
-        self.assign_uid(lowered)
+def _lower(node) -> list[AstNode]:
+    """Lower an arbitrary pycparser node to zero or more AstNodes."""
+    if node is None:
+        return []
+    if isinstance(node, _SPLICE_NODES):
+        out: list[AstNode] = []
         for _, child in node.children():
-            lowered.children.extend(self._lower(child))
-        return [lowered]
+            out.extend(_lower(child))
+        return out
+    if isinstance(node, c_ast.Decl):
+        return [_lower_decl(node)]
+    if isinstance(node, c_ast.FuncDef):
+        return [_lower_funcdef(node)]
+    kind, name = _classify(node)
+    lowered = AstNode(kind=kind, name=name, line=_line_of(node))
+    for _, child in node.children():
+        lowered.children.extend(_lower(child))
+    return [lowered]
 
-    def _classify(self, node) -> tuple[str, str | None]:
-        if isinstance(node, c_ast.Assignment):
-            return "assignment", node.op
-        if isinstance(node, (c_ast.If, c_ast.Switch)):
-            return "branch", _branch_label(node)
-        if isinstance(node, (c_ast.While, c_ast.DoWhile, c_ast.For)):
-            return "loop", _loop_label(node)
-        if isinstance(node, c_ast.FuncCall):
-            return "call", _callee_name(node)
-        if isinstance(node, c_ast.Return):
-            return "return", _render(node.expr) if node.expr is not None else None
-        if isinstance(node, _TYPE_EXPANSION):
-            return "type-expansion", type(node).__name__
-        if isinstance(node, c_ast.ID):
-            return "identifier", node.name
-        if isinstance(node, c_ast.Constant):
-            return "constant", node.value
-        if isinstance(node, c_ast.Break):
-            return "break", None
-        if isinstance(node, c_ast.Continue):
-            return "continue", None
-        if isinstance(node, c_ast.Goto):
-            return "goto", node.name
-        if isinstance(node, c_ast.Label):
-            return "label", node.name
-        if isinstance(node, (c_ast.Case, c_ast.Default)):
-            return "case", None
-        if isinstance(node, _OPERATOR_NODES):
-            op = getattr(node, "op", None)
-            return "operator", op if isinstance(op, str) else type(node).__name__
-        return "statement", type(node).__name__
+
+def _classify(node) -> tuple[str, str | None]:
+    if isinstance(node, c_ast.Assignment):
+        return "assignment", node.op
+    if isinstance(node, (c_ast.If, c_ast.Switch)):
+        return "branch", _branch_label(node)
+    if isinstance(node, (c_ast.While, c_ast.DoWhile, c_ast.For)):
+        return "loop", _loop_label(node)
+    if isinstance(node, c_ast.FuncCall):
+        return "call", _callee_name(node)
+    if isinstance(node, c_ast.Return):
+        return "return", _render(node.expr) if node.expr is not None else None
+    if isinstance(node, _TYPE_EXPANSION):
+        return "type-expansion", type(node).__name__
+    if isinstance(node, c_ast.ID):
+        return "identifier", node.name
+    if isinstance(node, c_ast.Constant):
+        return "constant", node.value
+    if isinstance(node, c_ast.Break):
+        return "break", None
+    if isinstance(node, c_ast.Continue):
+        return "continue", None
+    if isinstance(node, c_ast.Goto):
+        return "goto", node.name
+    if isinstance(node, c_ast.Label):
+        return "label", node.name
+    if isinstance(node, (c_ast.Case, c_ast.Default)):
+        return "case", None
+    if isinstance(node, _OPERATOR_NODES):
+        op = getattr(node, "op", None)
+        return "operator", op if isinstance(op, str) else type(node).__name__
+    return "statement", type(node).__name__
 
 
 def _callee_name(call: c_ast.FuncCall) -> str:
@@ -485,28 +454,37 @@ def _loop_label(node) -> str:
 
 
 class _Refs:
-    __slots__ = ("defs", "uses")
+    """The names a statement writes and reads, and the first call it makes."""
+
+    __slots__ = ("defs", "uses", "call")
 
     def __init__(self):
         self.defs: set[str] = set()
         self.uses: set[str] = set()
+        self.call: c_ast.FuncCall | None = None
 
 
 def _collect_uses(expr, refs: _Refs) -> None:
-    """Record every identifier read by ``expr``."""
+    """Record every identifier read by ``expr``, and its first call.
+
+    Children are visited in source order, so the first call met is the
+    first one in a preorder walk of ``expr``.
+    """
     if expr is None:
         return
     if isinstance(expr, c_ast.ID):
         refs.uses.add(expr.name)
         return
     if isinstance(expr, c_ast.Assignment):
-        _collect_uses(expr.rvalue, refs)
         _collect_write_target(expr.lvalue, refs, also_use=(expr.op != "="))
+        _collect_uses(expr.rvalue, refs)
         return
     if isinstance(expr, c_ast.UnaryOp) and expr.op in ("p++", "p--", "++", "--"):
         _collect_write_target(expr.expr, refs, also_use=True)
         return
     if isinstance(expr, c_ast.FuncCall):
+        if refs.call is None:
+            refs.call = expr
         # The callee designator is not a data read unless it is an expression.
         if not isinstance(expr.name, c_ast.ID):
             _collect_uses(expr.name, refs)
@@ -524,8 +502,8 @@ def _collect_write_target(lvalue, refs: _Refs, also_use: bool) -> None:
         if also_use:
             refs.uses.add(lvalue.name)
     elif isinstance(lvalue, c_ast.ArrayRef):
-        _collect_uses(lvalue.subscript, refs)
         _collect_write_target(lvalue.name, refs, also_use)
+        _collect_uses(lvalue.subscript, refs)
     elif isinstance(lvalue, c_ast.StructRef):
         if lvalue.type == "->":
             _collect_uses(lvalue.name, refs)
@@ -537,22 +515,12 @@ def _collect_write_target(lvalue, refs: _Refs, also_use: bool) -> None:
         _collect_uses(lvalue, refs)
 
 
-def _stmt_refs(stmt) -> _Refs:
+def _stmt_refs(*exprs) -> _Refs:
+    """One walk over ``exprs`` in order: their defs, uses and first call."""
     refs = _Refs()
-    _collect_uses(stmt, refs)
+    for expr in exprs:
+        _collect_uses(expr, refs)
     return refs
-
-
-def _contains_call(node) -> c_ast.FuncCall | None:
-    if node is None:
-        return None
-    if isinstance(node, c_ast.FuncCall):
-        return node
-    for _, child in node.children():
-        found = _contains_call(child)
-        if found is not None:
-            return found
-    return None
 
 
 # -- CFG construction ---------------------------------------------------------
@@ -698,30 +666,26 @@ class _CfgBuilder:
         elif isinstance(stmt, c_ast.EmptyStatement):
             pass
         else:
-            self._build_simple(stmt)
+            self._build_effect(stmt, _line_of(stmt))
 
-    def _build_simple(self, stmt) -> None:
-        refs = _stmt_refs(stmt)
-        call = _contains_call(stmt)
-        if call is not None:
-            self._attach("call", f"call {_callee_name(call)}", _line_of(stmt), refs)
+    def _build_effect(self, expr, line: int, target: str | None = None) -> None:
+        """One node for an expression statement, or for the initializer of
+        ``target``: a call node when it holds a call, else a statement node."""
+        refs = _stmt_refs(expr)
+        if target is not None:
+            refs.defs.add(target)
+        if refs.call is not None:
+            self._attach("call", f"call {_callee_name(refs.call)}", line, refs)
         else:
-            self._attach("statement", _render(stmt), _line_of(stmt), refs)
+            label = _render(expr) if target is None else f"{target} = {_render(expr)}"
+            self._attach("statement", label, line, refs)
 
     def _build_decl(self, decl: c_ast.Decl) -> None:
         line = _line_of(decl)
         type_text = " ".join(_decl_type_names(decl))
         self._attach("statement", f"decl {type_text} {decl.name}".strip(), line)
         if decl.init is not None:
-            refs = _Refs()
-            refs.defs.add(decl.name)
-            _collect_uses(decl.init, refs)
-            call = _contains_call(decl.init)
-            label = f"{decl.name} = {_render(decl.init)}"
-            if call is not None:
-                self._attach("call", f"call {_callee_name(call)}", line, refs)
-            else:
-                self._attach("statement", label, line, refs)
+            self._build_effect(decl.init, line, target=decl.name)
 
     def _build_if(self, node: c_ast.If) -> None:
         branch = self._attach("branch", _branch_label(node), _line_of(node), _stmt_refs(node.cond))
@@ -745,59 +709,42 @@ class _CfgBuilder:
         else:
             self.frontier = []
 
-    def _build_while(self, node: c_ast.While) -> None:
-        loop = self._attach("loop", _loop_label(node), _line_of(node), _stmt_refs(node.cond))
-
+    def _loop_body(self, stmt, cont: _ContinueCtx) -> list[tuple[int, str]]:
+        """Build a loop body from the current frontier; return its breaks."""
         breaks: list[tuple[int, str]] = []
         self.break_stack.append(breaks)
-        self.continue_stack.append(_ContinueCtx(target=loop.id))
-        self.frontier = [(loop.id, "True")]
-        self._build_stmt(node.stmt)
-        self._wire(self.frontier, loop.id, back=True)
+        self.continue_stack.append(cont)
+        self._build_stmt(stmt)
         self.break_stack.pop()
         self.continue_stack.pop()
+        return breaks
 
+    def _build_while(self, node: c_ast.While) -> None:
+        loop = self._attach("loop", _loop_label(node), _line_of(node), _stmt_refs(node.cond))
+        self.frontier = [(loop.id, "True")]
+        breaks = self._loop_body(node.stmt, _ContinueCtx(target=loop.id))
+        self._wire(self.frontier, loop.id, back=True)
         self.frontier = [(loop.id, "False")] + breaks
 
     def _build_dowhile(self, node: c_ast.DoWhile) -> None:
         body_start = self._next_id
-        breaks: list[tuple[int, str]] = []
         cont = _ContinueCtx(target=None)
-        self.break_stack.append(breaks)
-        self.continue_stack.append(cont)
-        self._build_stmt(node.stmt)  # entry frontier flows straight into the body
-        body_exits = self.frontier
-        self.break_stack.pop()
-        self.continue_stack.pop()
-
+        # The entry frontier flows straight into the body.
+        breaks = self._loop_body(node.stmt, cont)
         loop = self._node("loop", _loop_label(node), _line_of(node), _stmt_refs(node.cond))
-        self._wire(body_exits, loop.id)
+        self._wire(self.frontier, loop.id)
         self._wire(cont.deferred, loop.id)
         # An empty body leaves the loop node itself with id body_start: a self-loop.
         self.edges.append(CfgEdge(loop.id, body_start, "True", back=True))
         self.frontier = [(loop.id, "False")] + breaks
 
     def _build_for(self, node: c_ast.For) -> None:
-        if node.init is not None:
-            if isinstance(node.init, c_ast.DeclList):
-                for decl in node.init.decls or []:
-                    self._build_decl(decl)
-            elif isinstance(node.init, c_ast.Decl):
-                self._build_decl(node.init)
-            else:
-                self._build_simple(node.init)
-
+        self._build_stmt(node.init)
         loop = self._attach("loop", _loop_label(node), _line_of(node), _stmt_refs(node.cond))
-
-        breaks: list[tuple[int, str]] = []
         cont = _ContinueCtx(target=None)
-        self.break_stack.append(breaks)
-        self.continue_stack.append(cont)
         self.frontier = [(loop.id, "True")]
-        self._build_stmt(node.stmt)
+        breaks = self._loop_body(node.stmt, cont)
         body_exits = self.frontier
-        self.break_stack.pop()
-        self.continue_stack.pop()
 
         if node.next is not None:
             nrefs = _stmt_refs(node.next)
@@ -829,9 +776,7 @@ class _CfgBuilder:
         for case_expr, _ in cases:
             if case_expr is None:
                 continue
-            refs = _Refs()
-            _collect_uses(node.cond, refs)
-            _collect_uses(case_expr, refs)
+            refs = _stmt_refs(node.cond, case_expr)
             label = f"switch({cond_text}) case {_render(case_expr)}"
             b = self._node("branch", label, _line_of(case_expr, _line_of(node)), refs)
             self._wire(incoming, b.id)

@@ -106,20 +106,17 @@ class ScriptedChatClient(ChatClient):
 
     Rules are (substring, outcome) pairs matched against the prompt in order;
     an outcome may be a response string, a callable of the prompt, or an
-    exception to raise.  ``by_hash`` short-circuits on exact prompt hashes.
-    Every request lands in ``call_log``.
+    exception to raise.  Every request lands in ``call_log``.
     """
 
     def __init__(
         self,
         rules: list[tuple[str, object]] | None = None,
         default: str | None = None,
-        by_hash: dict[str, str] | None = None,
         model_id: str = "scripted",
     ):
         self.rules = list(rules or [])
         self.default = default
-        self.by_hash = dict(by_hash or {})
         self.model_id = model_id
         self.call_log: list[ChatRequest] = []
         self._lock = threading.Lock()
@@ -127,9 +124,6 @@ class ScriptedChatClient(ChatClient):
     def complete(self, req: ChatRequest) -> ChatResponse:
         with self._lock:
             self.call_log.append(req)
-        digest = prompt_sha256(req.prompt)
-        if digest in self.by_hash:
-            return ChatResponse(text=self.by_hash[digest], model_id=self.model_id)
         for needle, outcome in self.rules:
             if needle in req.prompt:
                 return self._resolve(outcome, req)

@@ -178,11 +178,8 @@ def filter_dfg(dfg: DfgGraph, level: Level) -> DfgGraph:
     always retained.
     """
     by_id = {n.id: n for n in dfg.nodes}
-    cross = [
-        e
-        for e in dfg.edges
-        if by_id[e.src].stmt != by_id[e.dst].stmt or by_id[e.src].fn != by_id[e.dst].fn
-    ]
+    # Every edge joins two nodes of one function.
+    cross = [e for e in dfg.edges if by_id[e.src].stmt != by_id[e.dst].stmt]
     adj: dict[int, list[int]] = {}
     for e in cross:
         adj.setdefault(e.src, []).append(e.dst)
@@ -288,20 +285,22 @@ def aggregate_ast(ast: AstNode) -> list[AstFunctionView]:
     for root in roots:
         if root.name is None:
             raise MissingPlaceholderError("function definition without a name")
-        shape = tuple(node.kind for node in root.walk())
-        if shape in shapes:
-            views[shapes[shape]].collapsed += 1
-            continue
+        kinds: list[str] = []
         call_chain: list[str] = []
         conditions: list[str] = []
         returns: list[str] = []
         for node in root.walk():
+            kinds.append(node.kind)
             if node.kind == "call" and node.name:
                 call_chain.append(node.name)
             elif node.kind in ("branch", "loop") and node.name:
                 conditions.append(node.name)
             elif node.kind == "return" and node.name:
                 returns.append(node.name)
+        shape = tuple(kinds)
+        if shape in shapes:
+            views[shapes[shape]].collapsed += 1
+            continue
         shapes[shape] = len(views)
         views.append(
             AstFunctionView(

@@ -375,6 +375,12 @@ out:
 ]
 
 
+def nested_ifs(depth: int) -> SourceFunction:
+    """A function whose body is ``depth`` nested ``if`` blocks."""
+    code = "int deep(int x) {\n" + "if (x) {\n" * depth + "x++;\n" + "}\n" * depth + "return x;\n}\n"
+    return SourceFunction(id=f"deep{depth}", code=code)
+
+
 def corpus_functions() -> list[SourceFunction]:
     return [SourceFunction(id=name, code=code) for name, code in FIXTURE_CORPUS]
 

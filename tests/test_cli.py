@@ -147,6 +147,35 @@ def test_build_kb_rejects_encoder_dim_below_one_before_reading(tmp_path, capsys,
     assert not (tmp_path / "kb.idx").exists()
 
 
+@pytest.mark.parametrize("fraction", ["0", "1.5", "nan", "-0.5", "half"])
+def test_evaluate_rejects_sample_fraction_outside_unit_interval(tmp_path, dataset_path, capsys, fraction):
+    argv = ["evaluate", "--predictions", str(tmp_path / "v.jsonl"), "--dataset", str(dataset_path)]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--pairs", str(tmp_path / "p.jsonl"), "--sample-fraction", fraction])
+    assert exc.value.code == 1
+    assert "--sample-fraction" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("workers", ["0", "-2", "two"])
+def test_analyze_rejects_workers_below_one(tmp_path, kb_path, dataset_path, capsys, workers):
+    out = tmp_path / "v.jsonl"
+    argv = ["analyze", "--input", str(dataset_path), "--kb", str(kb_path), "--out", str(out)]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--workers", workers])
+    assert exc.value.code == 1
+    assert "--workers" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_concurrency_below_one_is_data_error(tmp_path, kb_path, dataset_path, capsys):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"concurrency": 0}), encoding="utf-8")
+    out = tmp_path / "v.jsonl"
+    argv = ["analyze", "--input", str(dataset_path), "--kb", str(kb_path), "--out", str(out)]
+    assert main(argv + ["--config", str(config_path)]) == 2
+    assert "concurrency" in capsys.readouterr().err
+
+
 # -- extract-context ----------------------------------------------------------
 
 

@@ -1,12 +1,18 @@
-"""One digest over the structural output of a fixed set of functions.
+"""Two digests: the structural output and the verdict output of fixed inputs.
 
-The digest covers each unit's CFG and DFG node and edge lists as ``parse``
-returns them, and its verbalized A/B/C context at budget 1 and at the level
-budget.  The inputs are the fixture corpus, seeded small pairs and large
-functions from the benchmark's generators, and a few multi-function units.
-A refactor that must not change structural output keeps the constant; a
-change that alters the output on purpose updates it and says why in
-``CHANGES.md``.
+The structural digest covers each unit's CFG and DFG node and edge lists as
+``parse`` returns them, and its verbalized A/B/C context at budget 1 and at
+the level budget.  The inputs are the fixture corpus, seeded small pairs and
+large functions from the benchmark's generators, and a few multi-function
+units.
+
+The verdict digest covers the verdict files of scripted batch runs in which
+every fault kind occurs, and the run summary that ``analyze`` writes.  Each
+verdict's judge prompt hash covers the structural context text, so this
+digest also pins the frontend end to end.
+
+A refactor that must not change output keeps both constants; a change that
+alters the output on purpose updates one and says why in ``CHANGES.md``.
 """
 
 from __future__ import annotations
@@ -20,7 +26,11 @@ from pathlib import Path
 
 from fixtures import FIXTURE_CORPUS
 
+from vulncontext.cli import main
+from vulncontext.errors import LlmTimeoutError, LlmTransportError
 from vulncontext.graphs import SourceFunction, parse
+from vulncontext.llm import ChatClient, ChatRequest, ChatResponse
+from vulncontext.pipeline import run_triage
 from vulncontext.structure import (
     LEVEL_BUDGETS,
     Level,
@@ -36,6 +46,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import workloads  # noqa: E402
 
 STRUCTURE_SHA256 = "3722a49b38d7c9ba0f473bbdc4fb0e780981197e629c1c1c4b096bab3ac562c7"
+VERDICT_SHA256 = "b16c8848903c33c536822f79fd3dd352b92d75310e5fc143c0f9f20bf263b55c"
 
 SMALL_PAIRS = 20
 LARGE_MAX_STATEMENTS = 600
@@ -96,3 +107,89 @@ def test_inputs_cover_every_shape():
 
 def test_structural_output_matches_the_committed_digest():
     assert structure_digest(_inputs()) == STRUCTURE_SHA256
+
+
+# -- verdict half ---------------------------------------------------------------
+
+# The fault the scripted model puts on each named function; the others get
+# well-formed answers.
+FAULTS = {
+    "single_if": "fallback-query",
+    "if_else": "query-error",
+    "nested_loops": "explain-error",
+    "switch_dispatch": "empty-explain",
+    "goto_cleanup": "judge-retry",
+    "mixed_flow": "judge-unparsed",
+    "pointer_walk": "judge-error",
+}
+QUERIES = "Query 1: out of bounds write via unchecked length\nQuery 2: integer overflow in size"
+META = {"config_fingerprint": "equivalence"}
+
+
+class FaultScript(ChatClient):
+    """Answers by request tag, so each function meets its fault in any run order."""
+
+    def complete(self, req: ChatRequest) -> ChatResponse:
+        fn_id, stage = req.tag.rsplit(":", 1)
+        fault = FAULTS.get(fn_id)
+        if fault == "query-error" and stage == "query":
+            raise LlmTransportError("scripted query failure")
+        if fault == "explain-error" and stage == "explain":
+            raise LlmTimeoutError("scripted explain timeout")
+        if fault == "judge-error" and stage == "judge":
+            raise LlmTransportError("scripted judge failure")
+        if stage == "query":
+            text = "no weakness in sight" if fault == "fallback-query" else QUERIES
+        elif stage == "explain":
+            text = "" if fault == "empty-explain" else f"{fn_id} transforms its inputs."
+        elif fault == "judge-unparsed" or (fault == "judge-retry" and stage == "judge"):
+            text = "hard to say"
+        else:
+            text = "Verdict: Yes" if len(fn_id) % 2 else "Verdict: No"
+        return ChatResponse(text=text, model_id="fault-script")
+
+
+def _triage_inputs() -> list[SourceFunction]:
+    return [
+        *(SourceFunction(id=name, code=code) for name, code in FIXTURE_CORPUS),
+        SourceFunction(id="syntax_error", code="void oops( {"),
+        SourceFunction(id="kotlin", code="fun main() {}", language="kotlin"),
+    ]
+
+
+def _run(fns, index, out, **kwargs) -> dict:
+    summary = run_triage(fns, index, FaultScript(), out, meta=META, **kwargs)
+    del summary["elapsed_s"], summary["out"]
+    return summary
+
+
+def test_verdict_output_matches_the_committed_digest(tmp_path, toy_index):
+    fns = _triage_inputs()
+    fresh, resumed, pooled, unindexed = (tmp_path / f"{n}.jsonl" for n in ("fresh", "resumed", "pooled", "none"))
+    summary = _run(fns, toy_index, fresh)
+    assert [f["id"] for f in summary["failures"]] == ["pointer_walk"]
+
+    # Interrupted mid-write: a few records, then a torn line.
+    _run(fns[:5], toy_index, resumed)
+    with open(resumed, "a", encoding="utf-8") as handle:
+        handle.write('{"record": "verdict", "id": "stra')
+    _run(fns, toy_index, resumed)
+    _run(fns, toy_index, pooled, workers=3)
+    assert resumed.read_bytes() == pooled.read_bytes() == fresh.read_bytes()
+    _run(fns, None, unindexed)
+
+    # The offline CLI run, with its default script and run summary.
+    kb, dataset, out = tmp_path / "kb.idx", tmp_path / "functions.jsonl", tmp_path / "cli.jsonl"
+    toy_index.save(kb)
+    lines = (json.dumps({"id": fn.id, "code": fn.code, "language": fn.language}) for fn in fns[:4] + fns[-2:])
+    dataset.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    assert main(["analyze", "--input", str(dataset), "--kb", str(kb), "--out", str(out)]) == 0
+    runinfo = json.loads(Path(f"{out}.runinfo.json").read_text(encoding="utf-8"))
+    del runinfo["elapsed_s"], runinfo["out"]
+
+    digest = hashlib.sha256()
+    for part in (fresh.read_bytes(), unindexed.read_bytes(), out.read_bytes()):
+        digest.update(part)
+    for summary_record in (summary, runinfo):
+        digest.update(json.dumps(summary_record, sort_keys=True).encode("utf-8") + b"\n")
+    assert digest.hexdigest() == VERDICT_SHA256

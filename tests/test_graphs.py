@@ -2,15 +2,14 @@ from __future__ import annotations
 
 import pytest
 
-from fixtures import COPY_BYTES
+from fixtures import COPY_BYTES, nested_ifs
 
-from vulncontext.errors import SourceSyntaxError, UnsupportedLanguageError
+from vulncontext.errors import SourceSyntaxError, SourceTooDeepError, UnsupportedLanguageError
 from vulncontext.graphs import (
     CategoryCounts,
     SourceFunction,
     count_ast_categories,
     parse,
-    register_frontend,
 )
 
 
@@ -179,6 +178,14 @@ def test_syntax_error_carries_position():
     assert err.value.column is not None
 
 
+def test_input_too_deep_for_the_parser_has_its_own_cause():
+    assert sum(n.kind == "branch" for n in parse(nested_ifs(100)).cfg.nodes) == 100
+    with pytest.raises(SourceTooDeepError, match="nest too deeply") as err:
+        parse(nested_ifs(200))
+    assert isinstance(err.value, SourceSyntaxError)
+    assert isinstance(err.value.__cause__, RecursionError)
+
+
 def test_declaration_only_input_is_rejected():
     with pytest.raises(SourceSyntaxError):
         parse(SourceFunction(id="decl", code="int x;"))
@@ -187,24 +194,6 @@ def test_declaration_only_input_is_rejected():
 def test_unknown_language_is_rejected():
     with pytest.raises(UnsupportedLanguageError):
         parse(SourceFunction(id="k", code="fun main() {}", language="kotlin"))
-
-
-def test_frontend_registry_seam(copy_bytes):
-    calls = []
-
-    def fake_frontend(fn):
-        calls.append(fn.id)
-        return parse(SourceFunction(id=fn.id, code="void stub(void){}"))
-
-    register_frontend("faux", fake_frontend)
-    try:
-        bundle = parse(SourceFunction(id="x", code="anything", language="faux"))
-        assert calls == ["x"]
-        assert bundle.ast.name == "stub"
-    finally:
-        from vulncontext.graphs import _FRONTENDS
-
-        _FRONTENDS.pop("faux", None)
 
 
 def test_non_const_pointer_parameters_are_not_sources(copy_bytes):

@@ -45,12 +45,6 @@ def test_scripted_client_is_deterministic():
     assert len(client.call_log) == 2
 
 
-def test_scripted_client_matches_by_prompt_hash():
-    prompt = "exact prompt text"
-    client = ScriptedChatClient(by_hash={prompt_sha256(prompt): "scripted answer"})
-    assert client.complete(ChatRequest(prompt=prompt)).text == "scripted answer"
-
-
 def test_scripted_client_without_rule_raises():
     client = ScriptedChatClient(rules=[("nope", "x")])
     with pytest.raises(LlmBadResponseError):

@@ -11,6 +11,7 @@ from fixtures import (
     GOLDEN_T_DFG,
     TOY_ENTRIES,
     copy_bytes_fn,
+    nested_ifs,
     scripted_rules,
 )
 
@@ -150,6 +151,13 @@ def test_unparseable_source_degrades_control_only(toy_index):
     assert verdict.degraded_paths == frozenset({"control"})
     judge_prompt = client.call_log[-1].prompt
     assert DEGRADED_CONTROL in judge_prompt
+
+
+def test_input_too_deep_to_parse_degrades_control_only(toy_index):
+    client = ScriptedChatClient(rules=scripted_rules("Verdict: No"))
+    verdict = triage(nested_ifs(200), toy_index, client)
+    assert verdict.label == "benign"
+    assert verdict.degraded_paths == frozenset({"control"})
 
 
 def test_offline_encoder_degrades_knowledge_only(copy_bytes, toy_index):
