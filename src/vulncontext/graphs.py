@@ -185,20 +185,33 @@ class CategoryCounts:
 # Parsing front door
 # ---------------------------------------------------------------------------
 
-# Common typedefs so single functions parse without their headers.  The
-# ``# 1`` line marker resets coordinates, keeping node lines 1-based relative
-# to the submitted snippet.
-_TYPEDEF_PROLOGUE = (
-    "typedef unsigned long size_t; typedef long ssize_t; typedef long ptrdiff_t;\n"
-    "typedef int wchar_t; typedef long intptr_t; typedef unsigned long uintptr_t;\n"
-    "typedef signed char int8_t; typedef short int16_t; typedef int int32_t; typedef long int64_t;\n"
-    "typedef unsigned char uint8_t; typedef unsigned short uint16_t;\n"
-    "typedef unsigned int uint32_t; typedef unsigned long uint64_t;\n"
-    "typedef unsigned char u8; typedef unsigned short u16; typedef unsigned int u32; typedef unsigned long u64;\n"
-    "typedef long off_t; typedef long time_t; typedef int pid_t; typedef unsigned int mode_t;\n"
-    "typedef struct __FILE FILE; typedef unsigned long uintmax_t; typedef long intmax_t;\n"
-    "typedef int bool;\n"
+# Typedef names common headers declare, so single functions parse without
+# their headers: each maps to True, the parser's scope entry for a type name.
+_HEADER_TYPEDEFS = dict.fromkeys(
+    (
+        "size_t", "ssize_t", "ptrdiff_t", "wchar_t", "intptr_t", "uintptr_t",
+        "int8_t", "int16_t", "int32_t", "int64_t",
+        "uint8_t", "uint16_t", "uint32_t", "uint64_t",
+        "u8", "u16", "u32", "u64",
+        "off_t", "time_t", "pid_t", "mode_t",
+        "FILE", "uintmax_t", "intmax_t", "bool",
+    ),
+    True,
 )
+
+
+class _HeaderTypedefParser(CParser):
+    """A ``CParser`` whose file scope starts with ``_HEADER_TYPEDEFS`` declared.
+
+    ``CParser.parse`` resets the scope stack and then parses the translation
+    unit; seeding the file scope there gives the scope a typedef prologue
+    would leave, without lexing and parsing one on every call.  A file-scope
+    redeclaration of one of the names is still an error.
+    """
+
+    def _parse_translation_unit_or_empty(self):
+        self._scope_stack[0].update(_HEADER_TYPEDEFS)
+        return super()._parse_translation_unit_or_empty()
 
 
 def parse(fn: SourceFunction) -> GraphBundle:
@@ -247,9 +260,8 @@ _PARSE_ERROR_RE = re.compile(r":(\d+):(\d+):")
 
 
 def _parse_c(fn: SourceFunction) -> GraphBundle:
-    text = _TYPEDEF_PROLOGUE + f'# 1 "{_safe_name(fn.id)}"\n' + fn.code
     try:
-        unit = CParser().parse(text, filename=_safe_name(fn.id))
+        unit = _HeaderTypedefParser().parse(fn.code, filename=_safe_name(fn.id))
     except RecursionError as exc:
         raise SourceTooDeepError("statements or expressions nest too deeply to parse") from exc
     except Exception as exc:  # pycparser raises plyparser.ParseError
@@ -260,7 +272,6 @@ def _parse_c(fn: SourceFunction) -> GraphBundle:
         raise SourceSyntaxError(message, line=line, column=column) from exc
 
     func_defs = [ext for ext in unit.ext if isinstance(ext, c_ast.FuncDef)]
-    # Drop prologue typedef artifacts; anything left came from the snippet.
     if not func_defs:
         raise SourceSyntaxError("input contains no function definition")
 

@@ -1,7 +1,9 @@
 """Per-function triage: assemble the four-slot instruction, ask, parse verdict.
 
-One triaged function issues exactly three model calls on the happy path:
-retrieval-query generation, functional explanation, and the final judgment.
+One triaged function issues exactly three model calls on the happy path, in
+two rounds: retrieval-query generation and functional explanation run
+together on helper threads while the calling thread builds the structural
+context, then the final judgment follows once both have returned.
 A failure in the control, knowledge, or semantic stage degrades that slot to
 a marker string and is recorded; only a failed judgment call aborts the
 function.  Batch runs persist one verdict record per function, in input
@@ -10,8 +12,11 @@ order, and resume past ids already present in the output file.
 
 from __future__ import annotations
 
+import contextvars
+import os
+import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor, wait
 from contextlib import ExitStack
 from pathlib import Path
 
@@ -101,6 +106,28 @@ _KNOWLEDGE_FAILURES = (
 )
 
 
+# Helper threads for the query and explanation calls.  A ThreadPoolExecutor
+# hands work to an idle thread and starts a thread only when every one is
+# busy; with no practical cap it holds at most two threads per concurrent
+# ``triage`` call and never queues a call itself, so the in-flight limit stays
+# with the client (``BoundedClient``).
+def _reset_branch_pool() -> None:
+    global _BRANCH_POOL
+    _BRANCH_POOL = ThreadPoolExecutor(
+        max_workers=sys.maxsize, thread_name_prefix="vulncontext-branch"
+    )
+
+
+_reset_branch_pool()
+# A forked child inherits the pool's bookkeeping but none of its threads.
+os.register_at_fork(after_in_child=_reset_branch_pool)
+
+
+def _start(call, *args) -> Future:
+    """Run ``call(*args)`` on a helper thread, in a copy of the caller's context."""
+    return _BRANCH_POOL.submit(contextvars.copy_context().run, call, *args)
+
+
 def triage(
     fn: SourceFunction,
     index: KnowledgeIndex | None,
@@ -110,34 +137,47 @@ def triage(
     k: int = DEFAULT_TOP_K,
     max_entries: int = DEFAULT_MAX_ENTRIES,
 ) -> Verdict:
-    """Run the three context stages and the final judgment for one function."""
+    """Triage one function in two rounds of model calls.
+
+    The query and explanation calls depend on nothing but ``fn``, so they
+    run together on helper threads while this thread builds the structural
+    context; retrieval follows the query on this thread.  The judgment is
+    the second round.  ``triage`` waits for both helpers before it returns
+    or raises, so no call outlives it.
+    """
     degraded: set[str] = set()
     hashes: dict[str, str] = {}
-
-    try:
-        control_info = generate_structural_context(fn, level).s
-    except (SourceSyntaxError, UnsupportedLanguageError):
-        degraded.add("control")
-        control_info = DEGRADED_CONTROL
-
-    knowledge_text = DEGRADED_KNOWLEDGE
-    if index is None:
-        degraded.add("knowledge")
-    else:
+    query_call = None
+    if index is not None:
         hashes["query"] = prompt_sha256(fill_query_prompt(fn.code))
-        try:
-            queries = generate_queries(fn, llm)
-            rankings = [index.retrieve_top_k(q, k=k, alpha=alpha) for q in queries]
-            context = assemble_knowledge(rankings, max_entries=max_entries)
-            if context.entries:
-                knowledge_text = context.text
-            else:
-                degraded.add("knowledge")
-        except _KNOWLEDGE_FAILURES:
-            degraded.add("knowledge")
-
+        query_call = _start(generate_queries, fn, llm)
     hashes["explain"] = prompt_sha256(fill_explanation_prompt(fn.code))
-    explanation = generate_explanation(fn, llm)
+    explain_call = _start(generate_explanation, fn, llm)
+    try:
+        try:
+            control_info = generate_structural_context(fn, level).s
+        except (SourceSyntaxError, UnsupportedLanguageError):
+            degraded.add("control")
+            control_info = DEGRADED_CONTROL
+
+        knowledge_text = DEGRADED_KNOWLEDGE
+        if query_call is None:
+            degraded.add("knowledge")
+        else:
+            try:
+                queries = query_call.result()
+                rankings = [index.retrieve_top_k(q, k=k, alpha=alpha) for q in queries]
+                context = assemble_knowledge(rankings, max_entries=max_entries)
+                if context.entries:
+                    knowledge_text = context.text
+                else:
+                    degraded.add("knowledge")
+            except _KNOWLEDGE_FAILURES:
+                degraded.add("knowledge")
+
+        explanation = explain_call.result()
+    finally:
+        wait([call for call in (query_call, explain_call) if call is not None])
     if explanation.degraded or not explanation.text:
         degraded.add("semantic")
         explain_text = DEGRADED_EXPLAIN

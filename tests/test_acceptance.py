@@ -269,7 +269,10 @@ def test_criterion_5_pipeline_determinism(tmp_path):
         assert set(by_fn) == {f["id"] for f in functions}
         for fn_id, fn_records in by_fn.items():
             stages = [r["tag"].rsplit(":", 1)[1] for r in fn_records]
-            assert stages == ["query", "explain", "judge"], fn_id  # exactly 3 calls
+            # Exactly 3 calls: query and explanation run together, so either
+            # may be recorded first; the judgment always comes after both.
+            assert len(stages) == 3, fn_id
+            assert sorted(stages[:2]) == ["explain", "query"] and stages[2] == "judge", fn_id
             judge_prompt = fn_records[-1]["prompt"]
             markers = [
                 "1. Source Code:",

@@ -5,13 +5,16 @@ outside ``src/``; a refactor that deletes or renames one of them breaks that
 run, and one that keeps a name but stops calling it through the module leaves
 its layer without spans.  Installing the wrappers here, driving one function
 through every layer, and uninstalling them catches both in the unit tests,
-in well under a second, without running the benchmark.
+in well under a second, without running the benchmark.  The same drive checks
+that model calls made on helper threads still record their spans under the
+function's triage span, which is how the benchmark attributes them.
 """
 
 from __future__ import annotations
 
 import json
 import sys
+import types
 from pathlib import Path
 
 from fixtures import COPY_BYTES, TOY_ENTRIES
@@ -31,7 +34,7 @@ def _current(target: str):
     return getattr(*spans.resolve(target))
 
 
-def _drive_every_layer(tmp_path: Path) -> pipeline.Verdict:
+def _drive_every_layer(tmp_path: Path) -> tuple[pipeline.Verdict, dict[str, ScriptEntry]]:
     kb = tmp_path / "kb.idx"
     knowledge.build_knowledge_base(list(TOY_ENTRIES)).save(kb)
     index = knowledge.KnowledgeIndex.load(kb)
@@ -40,7 +43,7 @@ def _drive_every_layer(tmp_path: Path) -> pipeline.Verdict:
     [fn] = datasets.load_functions(dataset)
     script = {fn.id: ScriptEntry("vulnerable", ["out of bounds write past the buffer end"])}
     client = BoundedClient(backend.ScriptBackend(script), max_in_flight=2)
-    return pipeline.triage(fn, index, client)
+    return pipeline.triage(fn, index, client), script
 
 
 def test_benchmark_wraps_existing_names_and_restores_them():
@@ -59,8 +62,19 @@ def test_one_triage_reaches_every_wrapped_name(tmp_path):
     recorder = spans.Recorder()
     try:
         bench.install_layers(recorder)
-        verdict = _drive_every_layer(tmp_path)
+        verdict, script = _drive_every_layer(tmp_path)
     finally:
         recorder.uninstall()
     assert verdict.label == "vulnerable" and not verdict.degraded_paths
     recorder.check_called()
+    # Model calls run on helper threads; their spans must still hang under
+    # the function's triage span, or the benchmark attributes them to nothing.
+    bench.check_queries(recorder.spans, types.SimpleNamespace(script=script))
+    [triage_span] = recorder.named("pipeline.triage")
+    calls = recorder.named("llm.call") + recorder.named("semantic.explain")
+    assert len(calls) == 4
+    for span in calls:
+        root = span
+        while root.parent is not None:
+            root = root.parent
+        assert root is triage_span, span.name

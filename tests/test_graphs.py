@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+from dataclasses import astuple
+
 import pytest
+from pycparser import CParser
 
 from fixtures import COPY_BYTES, nested_ifs
 
@@ -176,6 +179,81 @@ def test_syntax_error_carries_position():
         parse(SourceFunction(id="bad", code="void broken( {"))
     assert err.value.line == 1
     assert err.value.column is not None
+
+
+# -- header typedefs -----------------------------------------------------------
+# The frontend seeds the parser's file scope with common typedef names instead
+# of parsing a typedef prologue on every call.  That relies on two private
+# names of pycparser 3.00's CParser; these tests fail if either moves.
+
+
+def test_pycparser_still_has_the_private_names_the_frontend_seeds():
+    assert callable(getattr(CParser, "_parse_translation_unit_or_empty", None))
+    parser = CParser()
+    assert parser._scope_stack == [{}]
+
+
+def test_header_typedef_names_parse_without_their_headers():
+    code = """int put_bytes(FILE *fp, const u8 *buf, size_t len, bool flush) {
+    size_t i;
+    for (i = 0; i < len; i++) {
+        if (fputc(buf[i], fp) < 0)
+            return -1;
+    }
+    if (flush)
+        fflush(fp);
+    return 0;
+}"""
+    cfg = parse(SourceFunction(id="put_bytes", code=code)).cfg
+    # Recorded from the frontend that prepended a typedef prologue.
+    assert [astuple(n)[:4] for n in cfg.nodes] == [
+        (0, "entry", "Entry", 1),
+        (1, "exit", "Exit", 1),
+        (2, "statement", "decl size_t i", 2),
+        (3, "statement", "i = 0", 3),
+        (4, "loop", "for(i = 0; i < len; i++)", 3),
+        (5, "branch", "if(fputc(buf[i], fp) < 0)", 4),
+        (6, "return", "return -1", 5),
+        (7, "statement", "join", 4),
+        (8, "statement", "i++", 3),
+        (9, "branch", "if(flush)", 7),
+        (10, "call", "call fflush", 8),
+        (11, "statement", "join", 7),
+        (12, "return", "return 0", 9),
+    ]
+    assert [astuple(e) for e in cfg.edges] == [
+        (0, 2, "seq", False),
+        (2, 3, "seq", False),
+        (3, 4, "seq", False),
+        (4, 5, "True", False),
+        (5, 6, "True", False),
+        (6, 1, "seq", False),
+        (5, 7, "False", False),
+        (7, 8, "seq", False),
+        (8, 4, "seq", True),
+        (4, 9, "False", False),
+        (9, 10, "True", False),
+        (10, 11, "seq", False),
+        (9, 11, "False", False),
+        (11, 12, "seq", False),
+        (12, 1, "seq", False),
+    ]
+
+
+def test_file_scope_redeclaration_of_a_header_typedef_is_rejected():
+    with pytest.raises(SourceSyntaxError) as err:
+        parse(SourceFunction(id="redecl", code="int size_t;\nint f(void) { return 0; }"))
+    assert str(err.value) == (
+        "redecl:1:5: Non-typedef 'size_t' previously declared as typedef in this scope"
+    )
+    assert (err.value.line, err.value.column) == (1, 5)
+
+
+def test_a_local_variable_may_shadow_a_header_typedef():
+    code = "int f(void) {\n    int u8;\n    u8 = 3;\n    return u8;\n}"
+    bundle = parse(SourceFunction(id="local", code=code))
+    assert [n.label for n in bundle.cfg.nodes] == ["Entry", "Exit", "decl int u8", "u8 = 3", "return u8"]
+    assert len(bundle.dfg.edges) == 1
 
 
 def test_input_too_deep_for_the_parser_has_its_own_cause():

@@ -1,6 +1,12 @@
 from __future__ import annotations
 
+import contextvars
 import json
+import os
+import signal
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -26,7 +32,8 @@ from vulncontext.errors import (
 )
 from vulncontext.graphs import SourceFunction
 from vulncontext.knowledge import build_knowledge_base
-from vulncontext.llm import ChatResponse, ScriptedChatClient, prompt_sha256
+from vulncontext import pipeline
+from vulncontext.llm import ChatClient, ChatResponse, ScriptedChatClient, prompt_sha256
 from vulncontext.pipeline import (
     DEGRADED_CONTROL,
     DEGRADED_EXPLAIN,
@@ -126,7 +133,116 @@ def test_exactly_three_model_calls_per_triage(toy_index, copy_bytes):
     triage(copy_bytes, toy_index, client)
     assert len(client.call_log) == 3
     stages = [req.tag.split(":", 1)[1] for req in client.call_log]
-    assert stages == ["query", "explain", "judge"]
+    # Query and explanation run together, so either may reach the model first.
+    assert sorted(stages[:2]) == ["explain", "query"] and stages[2] == "judge"
+
+
+class _Hooked(ChatClient):
+    """Answers with ``scripted_rules()`` after ``before(stage)`` has run."""
+
+    def __init__(self, before):
+        self.inner = ScriptedChatClient(rules=scripted_rules())
+        self.before = before
+
+    def complete(self, req):
+        self.before(req.tag.rsplit(":", 1)[1])
+        return self.inner.complete(req)
+
+
+def test_query_and_explanation_calls_are_in_flight_together(toy_index, copy_bytes):
+    meeting = threading.Barrier(2, timeout=2)
+
+    def meet(stage):
+        if stage in ("query", "explain"):
+            meeting.wait()
+
+    verdict = triage(copy_bytes, toy_index, _Hooked(meet))
+    assert verdict.degraded_paths == frozenset()
+
+
+def test_every_model_call_sees_the_callers_context(toy_index, copy_bytes):
+    caller = contextvars.ContextVar("caller")
+    seen = {}
+
+    def look(stage):
+        seen[stage] = caller.get(None)
+
+    token = caller.set("batch-7")
+    try:
+        triage(copy_bytes, toy_index, _Hooked(look))
+    finally:
+        caller.reset(token)
+    assert seen == {"query": "batch-7", "explain": "batch-7", "judge": "batch-7"}
+
+
+def test_a_failing_stage_leaves_triage_after_the_model_calls(monkeypatch, toy_index, copy_bytes):
+    lock = threading.Lock()
+    in_flight = []
+    finished = []
+
+    class Slow(ChatClient):
+        def complete(self, req):
+            stage = req.tag.rsplit(":", 1)[1]
+            with lock:
+                in_flight.append(stage)
+            time.sleep(0.3 if stage == "explain" else 0.0)
+            with lock:
+                in_flight.remove(stage)
+                finished.append(stage)
+            return ChatResponse(text="Query 1: overflow\nQuery 2: N/A")
+
+    def broken(fn, level):
+        raise RuntimeError("structural stage bug")
+
+    monkeypatch.setattr(pipeline, "generate_structural_context", broken)
+    with pytest.raises(RuntimeError, match="structural stage bug") as err:
+        triage(copy_bytes, toy_index, Slow())
+    assert type(err.value) is RuntimeError
+    assert in_flight == [] and sorted(finished) == ["explain", "query"]
+
+
+def test_helper_threads_are_reused_two_per_concurrent_triage(monkeypatch, toy_index, copy_bytes):
+    monkeypatch.setattr(pipeline, "_BRANCH_POOL", pipeline._BRANCH_POOL)
+    pipeline._reset_branch_pool()  # count this test's helpers only
+    helpers = set()
+
+    def record(stage):
+        if stage == "judge":
+            time.sleep(0.01)  # every helper is idle again before the next triage
+        else:
+            helpers.add(threading.current_thread())
+            time.sleep(0.01)
+
+    client = _Hooked(record)
+
+    def three_in_a_row():
+        for _ in range(3):
+            triage(copy_bytes, toy_index, client)
+
+    three_in_a_row()
+    assert len(helpers) == 2
+    with ThreadPoolExecutor(max_workers=3) as callers:
+        runs = [callers.submit(three_in_a_row) for _ in range(3)]
+        for run in runs:
+            run.result(timeout=30)
+    assert 2 <= len(helpers) <= 6
+    pipeline._BRANCH_POOL.shutdown()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_a_forked_child_gets_its_own_helper_threads(toy_index, copy_bytes):
+    client = ScriptedChatClient(rules=scripted_rules())
+    triage(copy_bytes, toy_index, client)  # the parent's helpers exist now
+    pid = os.fork()
+    if pid == 0:  # pragma: no cover - the child reports by exit status only
+        ok = False
+        signal.alarm(10)  # a child whose helpers never run dies instead of hanging
+        try:
+            ok = triage(copy_bytes, toy_index, client).label == "vulnerable"
+        finally:
+            os._exit(0 if ok else 1)
+    _, status = os.waitpid(pid, 0)
+    assert os.waitstatus_to_exitcode(status) == 0
 
 
 def test_slot_order_in_every_rendered_instruction(toy_index, copy_bytes):
