@@ -15,7 +15,7 @@ from pathlib import Path
 
 from . import __version__
 from .config import RunConfig, build_client, load_config
-from .datasets import jsonl_line, load_functions, load_pairs, load_verdicts
+from .datasets import jsonl_line, load_functions, load_pairs, load_verdicts, open_output
 from .errors import (
     ConfigError,
     CorpusFormatError,
@@ -200,7 +200,7 @@ def _cmd_extract_context(args) -> int:
     functions = load_functions(args.input)
     level = config.level_enum
 
-    out_handle = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
+    out_handle = open_output(args.out) if args.out else sys.stdout
     had_errors = False
     try:
         if args.jsonl:
@@ -248,10 +248,10 @@ def _cmd_analyze(args) -> int:
         resume=not args.no_resume,
     )
     runinfo_path = Path(args.out).with_suffix(Path(args.out).suffix + ".runinfo.json")
-    runinfo_path.write_text(
-        json.dumps({**config.meta(), **summary}, ensure_ascii=False, sort_keys=True, indent=2),
-        encoding="utf-8",
-    )
+    with open_output(runinfo_path) as handle:
+        handle.write(
+            json.dumps({**config.meta(), **summary}, ensure_ascii=False, sort_keys=True, indent=2)
+        )
     print(
         f"analyzed {summary['processed']} functions "
         f"({summary['skipped']} resumed, {len(summary['failures'])} failures) -> {args.out}"
@@ -352,10 +352,8 @@ def _cmd_evaluate(args) -> int:
         payload["mcnemar"] = {"p_value": p_value, "significant_bands": bands}
 
     if args.out:
-        Path(args.out).write_text(
-            json.dumps(payload, ensure_ascii=False, sort_keys=True, indent=2),
-            encoding="utf-8",
-        )
+        with open_output(args.out) as handle:
+            handle.write(json.dumps(payload, ensure_ascii=False, sort_keys=True, indent=2))
     return 0
 
 

@@ -25,6 +25,7 @@ __all__ = [
     "load_functions",
     "load_pairs",
     "load_verdicts",
+    "open_output",
     "parse_verdicts",
     "verdict_record",
 ]
@@ -68,6 +69,14 @@ def _read_bytes(path: str | Path) -> bytes:
         return Path(path).read_bytes()
     except OSError as exc:
         raise DatasetFormatError(f"cannot read {path}: {exc}") from exc
+
+
+def open_output(path: str | Path, mode: str = "w"):
+    """Open an output file for UTF-8 text; failing to is a ``DatasetFormatError``."""
+    try:
+        return open(path, mode, encoding="utf-8")
+    except OSError as exc:
+        raise DatasetFormatError(f"cannot write {path}: {exc}") from exc
 
 
 def _parse_jsonl(data: bytes, path: str | Path) -> list[dict]:

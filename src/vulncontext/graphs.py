@@ -213,6 +213,13 @@ class _HeaderTypedefParser(CParser):
         self._scope_stack[0].update(_HEADER_TYPEDEFS)
         return super()._parse_translation_unit_or_empty()
 
+    def _pop_scope(self):
+        # A stray closing brace asks to pop the file scope.  ``CParser``
+        # asserts against that, which ``python -O`` skips; keeping the file
+        # scope instead lets the grammar report the brace either way.
+        if len(self._scope_stack) > 1:
+            self._scope_stack.pop()
+
 
 def parse(fn: SourceFunction) -> GraphBundle:
     """Parse one source function into its AST, CFG, and DFG.

@@ -20,7 +20,7 @@ from concurrent.futures import Future, ThreadPoolExecutor, wait
 from contextlib import ExitStack
 from pathlib import Path
 
-from .datasets import Verdict, jsonl_line, parse_verdicts, verdict_record
+from .datasets import Verdict, jsonl_line, open_output, parse_verdicts, verdict_record
 from .errors import (
     EmptyCorpusError,
     EncoderMismatchError,
@@ -266,7 +266,7 @@ def run_triage(
         except TriageError as exc:
             return Verdict(fn.id, None, error=str(exc))
 
-    with open(out_path, "w" if fresh else "a", encoding="utf-8") as handle, ExitStack() as stack:
+    with open_output(out_path, "w" if fresh else "a") as handle, ExitStack() as stack:
         if fresh and meta is not None:
             handle.write(jsonl_line({"record": "meta", **meta}))
         # One worker stays on this thread: on glibc a pool thread allocates

@@ -130,6 +130,28 @@ def test_build_kb_unwritable_out_is_data_error(tmp_path, capsys):
     assert not out.parent.exists()
 
 
+@pytest.mark.parametrize("command", ["extract-context", "analyze", "evaluate"])
+def test_unwritable_out_is_data_error(tmp_path, kb_path, dataset_path, capsys, command):
+    pairs, verdicts = tmp_path / "pairs.jsonl", tmp_path / "v.jsonl"
+    write_jsonl(pairs, [{"pair_id": "p1", "vulnerable_id": "copy_bytes", "benign_id": "safe_add"}])
+    write_jsonl(
+        verdicts,
+        [
+            {"record": "verdict", "id": "copy_bytes", "label": "vulnerable"},
+            {"record": "verdict", "id": "safe_add", "label": "benign"},
+        ],
+    )
+    inputs = {
+        "extract-context": ["--input", str(dataset_path)],
+        "analyze": ["--input", str(dataset_path), "--kb", str(kb_path)],
+        "evaluate": ["--predictions", str(verdicts), "--dataset", str(dataset_path), "--pairs", str(pairs)],
+    }
+    out = tmp_path / "missing" / "out"
+    assert main([command, *inputs[command], "--out", str(out)]) == 2
+    assert "cannot write" in capsys.readouterr().err
+    assert not out.parent.exists()
+
+
 def test_build_kb_missing_corpus_exits_with_data_error(tmp_path, capsys):
     rc = main(["build-kb", "--corpus", str(tmp_path / "nope.xml"), "--out", str(tmp_path / "o")])
     assert rc == 2

@@ -1,6 +1,11 @@
 from __future__ import annotations
 
+import json
+import os
+import subprocess
+import sys
 from dataclasses import astuple
+from pathlib import Path
 
 import pytest
 from pycparser import CParser
@@ -181,10 +186,37 @@ def test_syntax_error_carries_position():
     assert err.value.column is not None
 
 
+_STRAY_BRACE_PROBE = """
+import json
+from vulncontext.errors import SourceSyntaxError
+from vulncontext.graphs import SourceFunction, parse
+try:
+    parse(SourceFunction(id="x", code="int f(void){ return 0; }}"))
+except SourceSyntaxError as err:
+    print(json.dumps([str(err), err.line, err.column]))
+"""
+
+
+def test_stray_closing_brace_is_the_same_error_with_or_without_asserts():
+    src = Path(__file__).resolve().parent.parent / "src"
+    path = [str(src), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)}
+    reports = []
+    for flags in ([], ["-O"]):
+        result = subprocess.run(
+            [sys.executable, *flags, "-c", _STRAY_BRACE_PROBE],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert result.returncode == 0, result.stderr
+        reports.append(json.loads(result.stdout))
+    assert reports == [["x:1:25: before: }", 1, 25]] * 2
+
+
 # -- header typedefs -----------------------------------------------------------
 # The frontend seeds the parser's file scope with common typedef names instead
 # of parsing a typedef prologue on every call.  That relies on two private
-# names of pycparser 3.00's CParser; these tests fail if either moves.
+# names of pycparser 3.00's CParser; these tests fail if either moves.  The
+# stray-brace test above covers a third, ``_pop_scope``.
 
 
 def test_pycparser_still_has_the_private_names_the_frontend_seeds():

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import json
 import math
 import random
@@ -207,6 +208,35 @@ def test_failed_save_keeps_the_old_index(tmp_path, toy_index, monkeypatch, inter
     assert list(tmp_path.iterdir()) == [path]
 
 
+def test_sparse_view_is_the_encoders_term_maps(tmp_path, toy_index):
+    path = tmp_path / "kb.idx"
+    toy_index.save(path)
+    for index in (toy_index, KnowledgeIndex.load(path)):
+        assert [list(row.items()) for row in index.sparse] == [
+            list(index.encoder.sparse(e.passage).items()) for e in index.entries
+        ]
+
+
+def test_saved_blocks_are_the_held_arrays(tmp_path, toy_index):
+    path = tmp_path / "kb.idx"
+    toy_index.save(path)
+    line, _, rest = path.read_bytes().partition(b"\n")
+    assert json.loads(line)["terms"] == toy_index.terms
+    stream = io.BytesIO(rest)
+    for name in ("dense", "offsets", "term_ids", "weights"):
+        block = np.load(stream)
+        assert block.dtype == getattr(toy_index, name).dtype, name
+        assert block.tobytes() == getattr(toy_index, name).tobytes(), name
+
+
+def test_load_and_retrieval_make_no_term_maps(tmp_path, toy_index):
+    path = tmp_path / "kb.idx"
+    toy_index.save(path)
+    reloaded = KnowledgeIndex.load(path)
+    reloaded.retrieve_top_k("buffer overflow write", k=len(reloaded))
+    assert "sparse" not in vars(reloaded)
+
+
 @pytest.mark.parametrize("size", [0, 1])
 def test_round_trip_of_tiny_index(tmp_path, size):
     index = build_knowledge_base(TOY_ENTRIES[:size])
@@ -341,7 +371,7 @@ def test_ties_break_by_ascending_cwe_number():
 
 
 def test_empty_corpus_retrieval_raises():
-    index = KnowledgeIndex(entries=[], dense=np.zeros((0, 64)), sparse=[], encoder=ReferenceEncoder())
+    index = build_knowledge_base([])
     with pytest.raises(EmptyCorpusError):
         index.retrieve_top_k("anything", k=1)
 
@@ -418,6 +448,9 @@ def test_round_trip_is_exact_at_benchmark_scale(tmp_path, bench_index):
     bench_index.save(path)
     reloaded = KnowledgeIndex.load(path)
     assert reloaded.dense.tobytes() == bench_index.dense.tobytes()
+    assert reloaded.terms == bench_index.terms
+    for name in ("offsets", "term_ids", "weights"):
+        assert getattr(reloaded, name).tobytes() == getattr(bench_index, name).tobytes(), name
     assert [list(row.items()) for row in reloaded.sparse] == [
         list(row.items()) for row in bench_index.sparse
     ]
