@@ -11,9 +11,9 @@ over shared terms t.  Retrieval scores the whole corpus per query with one
 matrix-vector product for the dense side and, for the sparse side, the
 posting lists of the query's terms (built in memory from the stored term-id
 and weight arrays when the index is built or loaded).  The few entries
-within a small margin of the k-th best score are then re-scored with
-``hybrid_score`` and ranked, so rankings and scores equal exhaustive scoring
-exactly.
+within a small margin of the k-th best score are then re-scored as
+``hybrid_score`` computes them and ranked, so rankings and scores equal
+exhaustive scoring exactly.
 
 An index file (format version 2) is one line of JSON header (magic, format
 version, build metadata, encoder, fingerprint, passages, and the vocabulary
@@ -192,9 +192,12 @@ def hybrid_score(
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must lie in [0, 1]")
     dense_term = float(np.dot(query_dense, entry_dense))
-    # Fixed summation order keeps scores bit-identical across processes.
-    shared = sorted(query_sparse.keys() & entry_sparse.keys())
-    sparse_term = sum(query_sparse[t] * entry_sparse[t] for t in shared)
+    # Fixed summation order keeps scores bit-identical across processes, and
+    # a plain left-to-right loop adds as retrieval's overlap does (builtin
+    # ``sum`` compensates float rounding from Python 3.12 on).
+    sparse_term = 0.0
+    for t in sorted(query_sparse.keys() & entry_sparse.keys()):
+        sparse_term += query_sparse[t] * entry_sparse[t]
     return alpha * dense_term + (1.0 - alpha) * sparse_term
 
 
@@ -327,7 +330,8 @@ def _load_cwe_csv(text: str) -> list[KnowledgeEntry]:
 
 # Approximate scores differ from ``hybrid_score`` only in the dense term: the
 # mat-vec may sum a row in another order than ``np.dot``, while the sparse
-# term is summed in the same sorted term order and is bit-identical.  Dense
+# term adds the same products in the same sorted term order, left to right
+# from 0.0, and is bit-identical.  Dense
 # rows and the query vector have unit norm, so by Cauchy-Schwarz either way
 # of summing a length-d dot product lands within about d * 2**-53 of the exact
 # value, and the two differ by at most about 2 * d * 2**-53 (1.4e-14 for
@@ -381,16 +385,14 @@ class KnowledgeIndex:
     def __len__(self) -> int:
         return len(self.entries)
 
-    def _entry_sparse(self, i: int) -> dict[str, float]:
-        """Entry i's term-weight map, in the order its terms were encoded."""
-        span = slice(self.offsets[i], self.offsets[i + 1])
-        names = map(self.terms.__getitem__, self.term_ids[span].tolist())
-        return dict(zip(names, self.weights[span].tolist()))
-
     @functools.cached_property
     def sparse(self) -> list[dict[str, float]]:
-        """Every entry's term-weight map, made on first use; retrieval never reads it."""
-        return [self._entry_sparse(i) for i in range(len(self.entries))]
+        """Every entry's term-weight map, in the order its terms were encoded,
+        made on first use; retrieval never reads it."""
+        names = [self.terms[t] for t in self.term_ids.tolist()]
+        weights = self.weights.tolist()
+        bounds = self.offsets.tolist()
+        return [dict(zip(names[a:b], weights[a:b])) for a, b in zip(bounds, bounds[1:])]
 
     def retrieve_top_k(
         self,
@@ -425,8 +427,13 @@ class KnowledgeIndex:
             shortlist = np.flatnonzero(approx >= kth - _SHORTLIST_MARGIN)
         else:
             shortlist = range(n)
+        # ``overlap[i]`` is already ``hybrid_score``'s sparse sum, term for
+        # term in its order from 0.0; only the dense product is redone exactly.
         scored = [
-            (self.entries[i], hybrid_score(q_dense, q_sparse, self.dense[i], self._entry_sparse(i), alpha))
+            (
+                self.entries[i],
+                alpha * float(np.dot(q_dense, self.dense[i])) + (1.0 - alpha) * float(overlap[i]),
+            )
             for i in shortlist
         ]
         scored.sort(key=lambda pair: (-pair[1], _cwe_sort_key(pair[0].cwe_id)))

@@ -11,10 +11,11 @@ parameterized by a granularity level:
   type-expansion nodes.
 
 A shared size budget scales with the level: it bounds both the number of
-enumerated CFG paths and the length of traced DFG chains.  Degenerate views
-(an entry-to-exit path with no interior node, a parameter that feeds a sink
-directly with no intermediate hop) are not verbalized; the per-function
-summary sentence already accounts for them.
+CFG paths kept per function and the length of traced DFG chains; the kept
+paths are the best of the first ``_MAX_ENUMERATED_PATHS`` found.
+Degenerate views (an entry-to-exit path with no interior node, a parameter
+that feeds a sink directly with no intermediate hop) are not verbalized;
+the per-function summary sentence already accounts for them.
 """
 
 from __future__ import annotations
@@ -86,7 +87,8 @@ RETAINED_AST_KINDS: dict[Level, set[str] | None] = {
 
 RETAINED_CFG_KINDS = {"entry", "exit", "branch", "loop", "call", "return"}
 
-# Enumeration safety valve; budgets are far below this.
+# Which paths are ranked: only the first this many entry-to-exit paths in
+# depth-first order compete for a function's budget.
 _MAX_ENUMERATED_PATHS = 4096
 
 
@@ -330,6 +332,11 @@ def enumerate_paths(cfg: CfgGraph, budget: int) -> list[CfgPath]:
     call nodes are kept, the earlier one on ties; only the first
     ``_MAX_ENUMERATED_PATHS`` paths in discovery order are ranked.  The
     returned list preserves discovery order.
+
+    Nodes that cannot reach an exit are never entered.  Once ``budget``
+    paths are kept, a part of the graph whose best path cannot beat the
+    weakest kept one is skipped, but its paths still count toward the
+    ``_MAX_ENUMERATED_PATHS`` cap.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
@@ -353,50 +360,131 @@ def _paths_for_function(
     out: dict[int, list[CfgEdge]],
     budget: int,
 ) -> list[CfgPath]:
+    steps = _walk_steps(entry.id, exit_ids, by_id, out)
     # One path, extended before each descent and cut back after it.  A node
     # reached again through a back edge is already on the path, so only the
     # step that put a node on the path takes it off.
     kept: list[CfgPath] = []
     found = 0
-    floor = 0  # the weakest kept score; read only once ``budget`` are kept
+    floor = -1  # the weakest kept score once ``budget`` are kept; below every score before
     node_seq = [entry.id]
     label_seq: list[str | None] = []
     on_path = {entry.id}
     used_back: set[tuple[int, int]] = set()
+    # What ``dfs`` returned for a component entry reached from outside its
+    # component: the walk below it is the same on every such arrival.  Only
+    # a walk cut by the cap returns less, and after the cap nothing is kept.
+    below_entry: dict[int, tuple[int, int]] = {}
 
-    def dfs(node_id: int, score: int):
+    def dfs(node_id: int, score: int) -> tuple[int, int]:
+        """The most score an exit path from ``node_id`` adds, and the number of such paths."""
         nonlocal found, floor
         if found >= _MAX_ENUMERATED_PATHS:
-            return
+            return -1, 0
         if node_id in exit_ids:
             found += 1
-            if len(kept) < budget or score > floor:
+            if score > floor:
                 kept.append(CfgPath([by_id[i] for i in node_seq], label_seq + [None], score))
                 if len(kept) > budget:
                     _drop_weakest(kept)
-                floor = min(p.score for p in kept)
-            return
-        for idx, e in enumerate(out.get(node_id, ())):
-            new = e.dst not in on_path
-            if e.back:
-                if (node_id, idx) in used_back:
+                if len(kept) == budget:
+                    floor = min(p.score for p in kept)
+            return 0, 1
+        best, count = -1, 0
+        for idx, (dst, label, back, gain, cross) in enumerate(steps[node_id]):
+            below = below_entry.get(dst) if cross else None
+            if below is not None and score + gain + below[0] <= floor:
+                found += below[1]  # no path below can be kept; only count them
+            else:
+                new = dst not in on_path
+                if back:
+                    if (node_id, idx) in used_back:
+                        continue
+                    used_back.add((node_id, idx))
+                elif not new:
                     continue
-                used_back.add((node_id, idx))
-            elif not new:
-                continue
-            node_seq.append(e.dst)
-            label_seq.append(e.label)
-            on_path.add(e.dst)
-            dfs(e.dst, score + (by_id[e.dst].kind in ("branch", "call")))
-            node_seq.pop()
-            label_seq.pop()
-            if new:
-                on_path.discard(e.dst)
-            if e.back:
-                used_back.discard((node_id, idx))
+                node_seq.append(dst)
+                label_seq.append(label)
+                on_path.add(dst)
+                below = dfs(dst, score + gain)
+                node_seq.pop()
+                label_seq.pop()
+                if new:
+                    on_path.discard(dst)
+                if back:
+                    used_back.discard((node_id, idx))
+                if cross:
+                    below_entry[dst] = below
+            if below[1]:
+                count += below[1]
+                if gain + below[0] > best:
+                    best = gain + below[0]
+        return best, count
 
-    dfs(entry.id, 0)
+    if steps:
+        dfs(entry.id, 0)
     return kept
+
+
+def _walk_steps(
+    entry_id: int,
+    exit_ids: set[int],
+    by_id: dict[int, CfgNode],
+    out: dict[int, list[CfgEdge]],
+) -> dict[int, list[tuple[int, str | None, bool, int, bool]]]:
+    """The path walk's moves: per node, ``(dst, label, back, gain, cross)`` in edge order.
+
+    Only nodes that reach an exit get moves, and only moves to such nodes;
+    the result is empty if the entry reaches none.  ``gain`` is 1 for a
+    branch or call ``dst``.  ``cross`` marks an edge between two strongly
+    connected components: nothing the path above has used can be reached
+    from ``dst``, since any such node would share its component.
+
+    One iterative pass of Tarjan's algorithm over the nodes the walk can
+    reach (it stops at an exit) closes sink components first, so every edge
+    out of a closing component goes to a node already decided.
+    """
+    steps: dict[int, list[tuple[int, str | None, bool, int, bool]]] = {}
+    index = {entry_id: 0}
+    low = {entry_id: 0}  # a closed component's members get one tag above every index
+    tag = len(by_id)
+    open_nodes = [entry_id]
+    work = [(entry_id, iter(() if entry_id in exit_ids else out.get(entry_id, ())))]
+    while work:
+        node_id, pending = work[-1]
+        for e in pending:
+            if e.dst not in index:
+                index[e.dst] = low[e.dst] = len(index)
+                open_nodes.append(e.dst)
+                work.append((e.dst, iter(() if e.dst in exit_ids else out.get(e.dst, ()))))
+                break
+            if low[e.dst] < low[node_id]:
+                low[node_id] = low[e.dst]
+        else:
+            work.pop()
+            if work and low[node_id] < low[work[-1][0]]:
+                low[work[-1][0]] = low[node_id]
+            if low[node_id] != index[node_id]:
+                continue
+            members = [open_nodes.pop()]
+            while members[-1] != node_id:
+                members.append(open_nodes.pop())
+            tag += 1
+            for n in members:
+                low[n] = tag
+            rows: dict[int, list[tuple[int, str | None, bool, int, bool]]] = {}
+            live = node_id in exit_ids
+            for n in members:
+                row = rows[n] = []
+                for e in () if n in exit_ids else out.get(n, ()):
+                    cross = low[e.dst] != tag
+                    if cross and e.dst not in steps:
+                        continue  # no exit past it
+                    live = live or cross
+                    row.append((e.dst, e.label, e.back, int(by_id[e.dst].kind in ("branch", "call")), cross))
+            if live:
+                steps.update(rows)
+    return steps
 
 
 def _drop_weakest(paths: list[CfgPath]) -> None:

@@ -290,6 +290,15 @@ def test_hand_computed_fusion():
     assert abs(score - 0.5) <= 1e-12
 
 
+def test_sparse_term_adds_left_to_right_in_term_order():
+    # Retrieval's overlap adds each term's product in sorted term order with
+    # plain float additions; each 1e-16 is under half an ulp of 1.0, so both
+    # vanish.  A compensated sum would give 1.0000000000000002.
+    zero = np.zeros(4)
+    query = {"a": 1.0, "b": 1e-16, "c": 1e-16}
+    assert hybrid_score(zero, query, zero, {"a": 1.0, "b": 1.0, "c": 1.0}, alpha=0.0) == 1.0
+
+
 def test_alpha_one_ignores_sparse_perturbation(toy_index):
     q = "unchecked buffer write overflow"
     q_dense, q_sparse = toy_index.encoder.encode(q)

@@ -1,8 +1,12 @@
 from __future__ import annotations
 
 import re
+import sys
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fixtures import FIXTURE_CORPUS, GOLDEN_T_AST, GOLDEN_T_CFG, GOLDEN_T_DFG
 
@@ -429,11 +433,12 @@ def test_budget_selection_prefers_branch_and_call_heavy_paths():
 
 
 def _oracle_selection(filtered: CfgGraph, budget: int) -> tuple[int, list[tuple[int, ...]]]:
-    """Path count, and the ``budget`` best of the first 4096 paths by
-    (-score, discovery index), in discovery order."""
+    """Path count, and the ``budget`` best of the first
+    ``structure._MAX_ENUMERATED_PATHS`` paths by (-score, discovery index),
+    in discovery order."""
     entry = filtered.entries()[0]
     full = brute_force_paths(filtered, entry.id, {n.id for n in filtered.exits()})
-    ranked = full[:4096]
+    ranked = full[: structure._MAX_ENUMERATED_PATHS]
     kind = {n.id: n.kind for n in filtered.nodes}
 
     def score(seq):
@@ -477,6 +482,138 @@ def test_paths_past_the_enumeration_cap_are_never_kept():
         (view,) = build_salient_views(bundle, ast_f, filtered, dfg_f, budget).cfg_views
         assert view.truncated
         assert _ids(view.paths) == expected, budget
+
+
+def test_loop_tails_past_the_enumeration_cap_are_never_kept():
+    # As above with a loop after each if: 7 ifs and 7 loops give 16384
+    # paths, of which the 8192 after the first if's True branch fill the cap.
+    parts = ["if (a0) { x = 1; } else { f0(); }", "while (w0) { g0(); }"]
+    for i in range(1, 7):
+        parts += [f"if (a{i}) {{ f{i}(); }}", f"while (w{i}) {{ g{i}(); }}"]
+    params = ", ".join([f"int a{i}" for i in range(7)] + [f"int w{i}" for i in range(7)])
+    code = f"void loops({params}) {{\n    int x = 0;\n    " + "\n    ".join(parts) + "\n}\n"
+    filtered = filter_cfg(parse(SourceFunction(id="loops", code=code)).cfg, Level.C)
+    first_if = min((n for n in filtered.nodes if n.kind == "branch"), key=lambda n: n.line)
+    for budget in (1, 16, 17):
+        count, expected = _oracle_selection(filtered, budget)
+        assert count == 16384
+        paths = enumerate_paths(filtered, budget)
+        assert _ids(paths) == expected, budget
+        for path in paths:
+            assert path.taken[[n.id for n in path.nodes].index(first_if.id)] == "True"
+
+
+def test_tails_that_cannot_reach_an_exit_are_never_walked():
+    # Every branch leads into a loop with no way out: 2**22 walks, no path.
+    ifs = "".join(f"    if (a > {i}) g_{i}(a); else k_{i}(a);\n" for i in range(22))
+    code = f"int probe(int a) {{\n{ifs}  L: a = h(a); goto L;\n}}\n"
+    filtered = filter_cfg(parse(SourceFunction(id="probe", code=code)).cfg, Level.C)
+    start = time.perf_counter()
+    assert enumerate_paths(filtered, LEVEL_BUDGETS[Level.C] + 1) == []
+    assert time.perf_counter() - start < 1.0
+
+
+def _walk_trace(cfg: CfgGraph, budget: int):
+    """``enumerate_paths`` and the node ids on the walk's stack each time it enters a node."""
+    stack: list[int] = []
+    entered: list[tuple[int, ...]] = []
+
+    def profile(frame, event, arg):
+        if frame.f_code.co_name == "dfs" and frame.f_globals is vars(structure):
+            if event == "call":
+                stack.append(frame.f_locals["node_id"])
+                entered.append(tuple(stack))
+            elif event == "return":
+                stack.pop()
+
+    sys.setprofile(profile)
+    try:
+        paths = enumerate_paths(cfg, budget)
+    finally:
+        sys.setprofile(None)
+    return paths, entered
+
+
+def test_a_tail_that_only_ties_the_weakest_kept_path_is_skipped():
+    # Budget 1.  Loop 6 is entered from branch 1 through calls 2, 3 and
+    # 4-5.  Below 6 the best path adds 1 (call 10).  Through 2 (score 2) the
+    # first path scores 3 and sets the floor.  Through 3 the score is 2
+    # again, so 6 can only tie the floor and is not entered; through 5 it is
+    # 3, so 6 is walked again and the floor becomes 4.  Back at 6 from 7 the
+    # score is still 3 and 6 could again only tie, but that arrival is
+    # inside 6's component, where the path above limits the walk, so it is
+    # walked.
+    kinds = {0: "entry", 1: "branch", 2: "call", 3: "call", 4: "call", 5: "call",
+             6: "loop", 7: "return", 9: "exit", 10: "call"}
+    edges = [
+        (0, 1, "seq", False),
+        (1, 2, "True", False), (1, 3, "False", False), (1, 4, "seq", False),
+        (2, 6, "seq", False), (3, 6, "seq", False), (4, 5, "seq", False), (5, 6, "seq", False),
+        (6, 10, "True", False), (10, 9, "seq", False),
+        (6, 7, "False", False), (7, 6, "seq", True),
+    ]
+    cfg = CfgGraph(
+        nodes=[CfgNode(i, kind, f"n{i}", i, "f") for i, kind in kinds.items()],
+        edges=[CfgEdge(*e) for e in edges],
+    )
+    paths, entered = _walk_trace(cfg, 1)
+    assert _ids(paths) == _oracle_selection(cfg, 1)[1] == [(0, 1, 4, 5, 6, 10, 9)]
+    assert (0, 1, 3) in entered
+    assert [stack for stack in entered if stack[-1] == 6] == [
+        (0, 1, 2, 6), (0, 1, 2, 6, 7, 6), (0, 1, 4, 5, 6), (0, 1, 4, 5, 6, 7, 6),
+    ]
+
+
+def test_a_component_entered_at_two_nodes_is_walked_whole_from_each():
+    # Nodes 2 and 4 form one component (4 -> 2 is no back edge).  Reached
+    # from 2, node 4 cannot step back to 2 and adds nothing; reached from
+    # call 3 it can, and 4 -> 2 -> 5 gives the best path.  What the walk
+    # found below 4 inside the component must not stand for 4 on entry.
+    kinds = {0: "entry", 1: "branch", 2: "return", 3: "call", 4: "return", 5: "call", 9: "exit"}
+    edges = [
+        (0, 1, "seq", False), (1, 2, "True", False), (1, 3, "False", False), (3, 4, "seq", False),
+        (2, 4, "True", False), (2, 5, "False", False), (5, 9, "seq", False),
+        (4, 9, "True", False), (4, 2, "False", False),
+    ]
+    cfg = CfgGraph(
+        nodes=[CfgNode(i, kind, f"n{i}", i, "f") for i, kind in kinds.items()],
+        edges=[CfgEdge(*e) for e in edges],
+    )
+    assert _ids(enumerate_paths(cfg, 1)) == _oracle_selection(cfg, 1)[1] == [(0, 1, 3, 4, 2, 5, 9)]
+
+
+_CFG_KINDS = ("branch", "call", "loop", "return", "exit")
+
+
+@st.composite
+def _small_cfgs(draw) -> CfgGraph:
+    """Up to 11 nodes: an entry, an exit last, any kinds between (so maybe a
+    second exit), and up to 3 out-edges per node with any labels and back
+    flags, self-loops included.  Half the edges go forward, so that most
+    graphs have many paths; a node may have none and be a dead end."""
+    size = draw(st.integers(min_value=2, max_value=11))
+    kinds = ["entry"] + [draw(st.sampled_from(_CFG_KINDS)) for _ in range(size - 2)] + ["exit"]
+    edges = set()
+    for src in range(size - 1):
+        for _ in range(draw(st.integers(min_value=0, max_value=3))):
+            low = src + 1 if draw(st.booleans()) else 0
+            dst = draw(st.integers(min_value=low, max_value=size - 1))
+            edges.add((src, dst, draw(st.sampled_from(["True", "False", "seq"])), draw(st.booleans())))
+    return CfgGraph(
+        nodes=[CfgNode(i, kind, f"n{i}", i, "f") for i, kind in enumerate(kinds)],
+        edges=[CfgEdge(*e) for e in sorted(edges)],
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(cfg=_small_cfgs())
+def test_selection_matches_oracle_on_random_graphs(cfg):
+    for cap in (1, 3, 7, 4096):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(structure, "_MAX_ENUMERATED_PATHS", cap)
+            for budget in range(1, 6):
+                expected = _oracle_selection(cfg, budget)[1]
+                assert _ids(enumerate_paths(cfg, budget)) == expected, (cap, budget)
 
 
 def _views_by_name(code: str, level: Level, budget: int) -> dict[str, tuple]:
