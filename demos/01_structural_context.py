@@ -34,15 +34,14 @@ print("category counts:", count_ast_categories(bundle.ast))
 print("cfg nodes:", len(bundle.cfg.nodes), "| dfg edges:", len(bundle.dfg.edges))
 print()
 
-# Filtering strips grammar noise and folds uninteresting statement runs.
+# Only the AST filter and the path/chain budget depend on the level.  The CFG
+# filter folds plain statement runs; the DFG filter keeps parameter-rooted flows.
+cfg_kept = len(filter_cfg(bundle.cfg).nodes)
+dfg_kept = len(filter_dfg(bundle.dfg).edges)
+print(f"filtered: cfg nodes {cfg_kept}, dfg edges {dfg_kept}")
 for level in (Level.A, Level.B, Level.C):
     ast_kept = sum(1 for _ in filter_ast(bundle.ast, level).walk())
-    cfg_kept = len(filter_cfg(bundle.cfg, level).nodes)
-    dfg_kept = len(filter_dfg(bundle.dfg, level).edges)
-    print(
-        f"level {level.value}: ast nodes {ast_kept:2d}, "
-        f"cfg nodes {cfg_kept}, dfg edges {dfg_kept}, budget {LEVEL_BUDGETS[level]}"
-    )
+    print(f"level {level.value}: ast nodes {ast_kept:2d}, budget {LEVEL_BUDGETS[level]}")
 print()
 
 # The verbalized context is three one-line fragments: AST, CFG, DFG order.

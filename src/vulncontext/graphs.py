@@ -5,15 +5,16 @@ that nests deeper than pycparser's recursion allows raises
 ``SourceTooDeepError``, any other rejected input ``SourceSyntaxError``.
 
 The abstract syntax tree is a lowering of pycparser's concrete tree onto a
-small set of semantic node kinds; grammar plumbing such as ``TypeDecl`` and
-``PtrDecl`` survives as ``type-expansion`` nodes so later filtering stages can
-strip it.  The finished tree is numbered once, in preorder.  The control-flow
-graph allocates one node per statement or condition, with explicit join nodes
-after branch constructs and an implicit end-of-body node for functions whose
-control can fall off the closing brace.  One walk over each statement finds
-the names it reads and writes and its first call; a statement that holds a
-call becomes a call node.  The data-flow graph links each definition to its
-subsequent uses (reaching definitions, intraprocedural, by variable name).
+small set of semantic node kinds; grammar plumbing (blocks, lists, and type
+syntax such as ``TypeDecl`` and ``PtrDecl``) is spliced away at lowering, its
+children lowered in its place.  The finished tree is numbered once, in
+preorder.  The control-flow graph allocates one node per statement or
+condition, with explicit join nodes after branch constructs and an implicit
+end-of-body node for functions whose control can fall off the closing brace.
+One walk over each statement finds the names it reads and writes and its
+first call; a statement that holds a call becomes a call node.  The data-flow
+graph links each definition to its subsequent uses (reaching definitions,
+intraprocedural, by variable name).
 
 Counting rules are fixed module constants, calibrated so that a bounded-copy
 function with three parameters, one guarded length check, and one memcpy call
@@ -80,8 +81,8 @@ class AstNode:
     """Lowered syntax-tree node.
 
     ``kind`` is one of: function-def, declaration, assignment, branch, loop,
-    call, return, operator, identifier, constant, type-expansion, and a few
-    statement-level kinds (break, continue, goto, label, statement, unit).
+    call, return, operator, identifier, constant, and a few statement-level
+    kinds (break, continue, goto, label, case, statement, unit).
     ``role`` distinguishes parameter declarations from body declarations;
     ``uid`` is the node's preorder index in the parsed tree.
     """
@@ -323,7 +324,13 @@ def _line_of(node, fallback: int = 1) -> int:
 
 # -- AST lowering -----------------------------------------------------------
 
-_TYPE_EXPANSION = (
+# Grammar plumbing: blocks, lists, and type syntax.  Each is replaced by its
+# lowered children.
+_SPLICE_NODES = (
+    c_ast.Compound,
+    c_ast.DeclList,
+    c_ast.ParamList,
+    c_ast.ExprList,
     c_ast.TypeDecl,
     c_ast.PtrDecl,
     c_ast.ArrayDecl,
@@ -351,8 +358,6 @@ _OPERATOR_NODES = (
     c_ast.NamedInitializer,
 )
 
-_SPLICE_NODES = (c_ast.Compound, c_ast.DeclList, c_ast.ParamList, c_ast.ExprList)
-
 
 def _lower_funcdef(fd: c_ast.FuncDef) -> AstNode:
     line = _line_of(fd)
@@ -364,9 +369,6 @@ def _lower_funcdef(fd: c_ast.FuncDef) -> AstNode:
                 root.children.append(_lower_decl(param, role="param"))
             else:
                 root.children.extend(_lower(param))
-    # Return-type machinery is grammar noise.
-    return_type = AstNode("type-expansion", type(func_decl).__name__, _line_of(func_decl, line))
-    root.children.append(return_type)
     if fd.body is not None:
         root.children.extend(_lower(fd.body))
     return root
@@ -375,21 +377,10 @@ def _lower_funcdef(fd: c_ast.FuncDef) -> AstNode:
 def _lower_decl(decl: c_ast.Decl, role: str | None = None) -> AstNode:
     line = _line_of(decl)
     node = AstNode(kind="declaration", name=decl.name, line=line, role=role)
-    node.children.extend(_lower_type_chain(decl.type, line))
+    node.children.extend(_lower(decl.type))
     if decl.init is not None:
         node.children.append(AstNode("assignment", "=", line, children=_lower(decl.init)))
     return node
-
-
-def _lower_type_chain(tnode, line: int) -> list[AstNode]:
-    if tnode is None:
-        return []
-    if isinstance(tnode, _TYPE_EXPANSION):
-        out = AstNode(kind="type-expansion", name=type(tnode).__name__, line=_line_of(tnode, line))
-        for _, child in tnode.children():
-            out.children.extend(_lower_type_chain(child, line))
-        return [out]
-    return _lower(tnode)
 
 
 def _lower(node) -> list[AstNode]:
@@ -423,8 +414,6 @@ def _classify(node) -> tuple[str, str | None]:
         return "call", _callee_name(node)
     if isinstance(node, c_ast.Return):
         return "return", _render(node.expr) if node.expr is not None else None
-    if isinstance(node, _TYPE_EXPANSION):
-        return "type-expansion", type(node).__name__
     if isinstance(node, c_ast.ID):
         return "identifier", node.name
     if isinstance(node, c_ast.Constant):

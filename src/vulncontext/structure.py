@@ -1,14 +1,14 @@
 """Granularity filtering, salient-view extraction, and template verbalization.
 
 Turns a GraphBundle into a compact natural-language structural context made
-of three fragments, always concatenated in AST, CFG, DFG order.  Filtering is
-parameterized by a granularity level:
+of three fragments, always concatenated in AST, CFG, DFG order.  The AST
+filter is parameterized by a granularity level; the CFG and DFG filters are
+the same at every level:
 
 * level A keeps only skeleton kinds (function definitions, branches, loops,
   calls, returns);
 * level B additionally keeps assignments, declarations, and operators;
-* level C keeps every semantic node and removes only grammar noise such as
-  type-expansion nodes.
+* level C keeps the whole lowered tree.
 
 A shared size budget scales with the level: it bounds both the number of
 CFG paths kept per function and the length of traced DFG chains; the kept
@@ -45,7 +45,6 @@ __all__ = [
     "LEVEL_BUDGETS",
     "RETAINED_AST_KINDS",
     "RETAINED_CFG_KINDS",
-    "NOISE_AST_KINDS",
     "AstFunctionView",
     "CfgPath",
     "CfgFunctionView",
@@ -76,13 +75,11 @@ class Level(str, Enum):
 # level while keeping the rendered context within a few hundred tokens.
 LEVEL_BUDGETS: dict[Level, int] = {Level.A: 4, Level.B: 8, Level.C: 16}
 
-NOISE_AST_KINDS = {"type-expansion"}
-
 _SKELETON_KINDS = {"function-def", "branch", "loop", "call", "return"}
 RETAINED_AST_KINDS: dict[Level, set[str] | None] = {
     Level.A: set(_SKELETON_KINDS),
     Level.B: _SKELETON_KINDS | {"assignment", "declaration", "operator"},
-    Level.C: None,  # everything except noise kinds
+    Level.C: None,  # every kind
 }
 
 RETAINED_CFG_KINDS = {"entry", "exit", "branch", "loop", "call", "return"}
@@ -101,42 +98,33 @@ def filter_ast(ast: AstNode, level: Level) -> AstNode:
     """Prune the AST to the node kinds retained at ``level``.
 
     Children of pruned nodes are spliced up to the nearest retained ancestor,
-    so the result is still a tree rooted at the function definition.
+    so the result is still a tree with the same root, a function definition
+    or unit.  Level C retains every kind and returns ``ast`` itself.
     """
     retained = RETAINED_AST_KINDS[level]
-
-    def keep(node: AstNode) -> bool:
-        if node.kind in NOISE_AST_KINDS:
-            return False
-        if node.kind in ("function-def", "unit"):
-            return True
-        if retained is None:
-            return True
-        return node.kind in retained
-
-    def rebuild(node: AstNode) -> list[AstNode]:
-        kept_children: list[AstNode] = []
-        for child in node.children:
-            kept_children.extend(rebuild(child))
-        if keep(node):
-            clone = AstNode(
-                kind=node.kind,
-                name=node.name,
-                line=node.line,
-                children=kept_children,
-                role=node.role,
-                uid=node.uid,
-            )
-            return [clone]
-        return kept_children
-
-    rebuilt = rebuild(ast)
-    if len(rebuilt) == 1:
-        return rebuilt[0]
-    return AstNode(kind="unit", name=None, line=ast.line, children=rebuilt, uid=ast.uid)
+    if retained is None:
+        return ast
+    root = AstNode(ast.kind, ast.name, ast.line, role=ast.role, uid=ast.uid)
+    # Preorder.  Each entry pairs the children still to visit with the child
+    # list of their nearest kept ancestor's clone.
+    stack = [(iter(ast.children), root.children)]
+    while stack:
+        children, out = stack[-1]
+        for node in children:
+            kept = out
+            if node.kind in retained:
+                clone = AstNode(node.kind, node.name, node.line, role=node.role, uid=node.uid)
+                out.append(clone)
+                kept = clone.children
+            if node.children:
+                stack.append((iter(node.children), kept))
+                break
+        else:
+            stack.pop()
+    return root
 
 
-def filter_cfg(cfg: CfgGraph, level: Level) -> CfgGraph:
+def filter_cfg(cfg: CfgGraph) -> CfgGraph:
     """Fold maximal chains of plain statement nodes into single edges.
 
     Entry/exit, branch, loop, call, and return nodes survive; a folded edge
@@ -172,7 +160,7 @@ def filter_cfg(cfg: CfgGraph, level: Level) -> CfgGraph:
     return out
 
 
-def filter_dfg(dfg: DfgGraph, level: Level) -> DfgGraph:
+def filter_dfg(dfg: DfgGraph) -> DfgGraph:
     """Keep parameter sources and the cross-statement edges on their chains.
 
     Edges inside a single statement are dropped, as are flows that originate
@@ -722,8 +710,8 @@ def generate_structural_context(
     bundle = parse(fn)
     budget = LEVEL_BUDGETS[level]
     ast_f = filter_ast(bundle.ast, level)
-    cfg_f = filter_cfg(bundle.cfg, level)
-    dfg_f = filter_dfg(bundle.dfg, level)
+    cfg_f = filter_cfg(bundle.cfg)
+    dfg_f = filter_dfg(bundle.dfg)
     views = build_salient_views(bundle, ast_f, cfg_f, dfg_f, budget)
     t_ast, t_cfg, t_dfg = verbalize(views)
     return StructuralContext(t_ast=t_ast, t_cfg=t_cfg, t_dfg=t_dfg)

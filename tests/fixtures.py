@@ -381,6 +381,37 @@ def nested_ifs(depth: int) -> SourceFunction:
     return SourceFunction(id=f"deep{depth}", code=code)
 
 
+# One unit that holds each piece of C type syntax the frontend lowers: struct,
+# union and enum definitions, a typedef, casts, sizeof of a type, an array
+# dimension, a compound literal, a function-pointer parameter, variadic and
+# void parameter lists, and a function that returns a function pointer.
+TYPE_PLUMBING = """int (*pick(int k))(int) {
+    struct pair { int lo; int hi; } p = (struct pair){k, k + 1};
+    union cell { int i; float f; } c;
+    enum mode { OFF, ON = 2 } m = ON;
+    typedef unsigned long word;
+    char buf[sizeof(struct pair) + 4];
+    word w = (word)p.hi * sizeof(word);
+    c.i = k;
+    if (m == ON && w > 0)
+        buf[0] = (char)w;
+    return k > 0 ? twice : 0;
+}
+
+int apply(int (*cb)(int n, char *tag), int value) {
+    return cb(value, (char *)0);
+}
+
+int logf(const char *fmt, ...) {
+    return fmt[0];
+}
+
+int ready(void) {
+    return 1;
+}
+"""
+
+
 def corpus_functions() -> list[SourceFunction]:
     return [SourceFunction(id=name, code=code) for name, code in FIXTURE_CORPUS]
 

@@ -35,7 +35,6 @@ from vulncontext.llm import ScriptedChatClient
 from vulncontext.pipeline import triage
 from vulncontext.structure import (
     LEVEL_BUDGETS,
-    NOISE_AST_KINDS,
     Level,
     enumerate_paths,
     filter_ast,
@@ -156,34 +155,32 @@ def test_criterion_4_filtering_properties():
     assert len(functions) >= 30
     for fn in functions:
         bundle = parse(fn)
+        # Every filtered tree is spliced from this one, so no level keeps noise.
+        assert all(n.kind != "type-expansion" for n in bundle.ast.walk()), fn.id
         retained = {
             level: {n.uid for n in filter_ast(bundle.ast, level).walk()} for level in LEVELS
         }
         assert retained[Level.A] <= retained[Level.B] <= retained[Level.C], fn.id
+        cfg_f = filter_cfg(bundle.cfg)
+        dfg_f = filter_dfg(bundle.dfg)
         for level in LEVELS:
-            filtered_ast = filter_ast(bundle.ast, level)
-            assert all(n.kind not in NOISE_AST_KINDS for n in filtered_ast.walk()), fn.id
-
-            cfg_f = filter_cfg(bundle.cfg, level)
             budget = LEVEL_BUDGETS[level]
             paths = enumerate_paths(cfg_f, budget)
             assert len(paths) <= budget, fn.id
             for path in paths:
                 assert path.nodes[0].kind == "entry" and path.nodes[-1].kind == "exit"
 
-            dfg_f = filter_dfg(bundle.dfg, level)
             for chain in trace_chains(dfg_f, budget):
                 assert chain.nodes[0].kind == "param", fn.id
                 if not chain.truncated:
                     assert chain.nodes[-1].kind == "sink", fn.id
 
-        cfg_c = filter_cfg(bundle.cfg, Level.C)
-        entry = cfg_c.entries()[0]
-        oracle = brute_force_paths(cfg_c, entry.id, {n.id for n in cfg_c.exits()})
+        entry = cfg_f.entries()[0]
+        oracle = brute_force_paths(cfg_f, entry.id, {n.id for n in cfg_f.exits()})
         if len(oracle) <= LEVEL_BUDGETS[Level.C]:
             got = [
                 tuple(n.id for n in p.nodes)
-                for p in enumerate_paths(cfg_c, LEVEL_BUDGETS[Level.C])
+                for p in enumerate_paths(cfg_f, LEVEL_BUDGETS[Level.C])
             ]
             assert got == oracle, fn.id
     _passed("4 filtering-properties", started, 30.0)

@@ -3,8 +3,8 @@
 The structural digest covers each unit's CFG and DFG node and edge lists as
 ``parse`` returns them, and its verbalized A/B/C context at budget 1 and at
 the level budget.  The inputs are the fixture corpus, seeded small pairs and
-large functions from the benchmark's generators, and a few multi-function
-units.
+large functions from the benchmark's generators, a few multi-function units,
+and one unit of C type syntax.
 
 The verdict digest covers the verdict files of scripted batch runs in which
 every fault kind occurs, and the run summary that ``analyze`` writes.  Each
@@ -24,7 +24,7 @@ import sys
 from dataclasses import astuple
 from pathlib import Path
 
-from fixtures import FIXTURE_CORPUS
+from fixtures import FIXTURE_CORPUS, TYPE_PLUMBING
 
 from vulncontext.cli import main
 from vulncontext.errors import LlmTimeoutError, LlmTransportError
@@ -45,7 +45,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
 import workloads  # noqa: E402
 
-STRUCTURE_SHA256 = "3722a49b38d7c9ba0f473bbdc4fb0e780981197e629c1c1c4b096bab3ac562c7"
+STRUCTURE_SHA256 = "79059c9beb0a3e0ee4ba17d175329402239ed0642585897778bf6c7ece603a9a"
 VERDICT_SHA256 = "b16c8848903c33c536822f79fd3dd352b92d75310e5fc143c0f9f20bf263b55c"
 
 SMALL_PAIRS = 20
@@ -69,6 +69,7 @@ def _inputs() -> list[SourceFunction]:
     fns += [SourceFunction(id=g.id, code=g.code) for g in large if g.statements <= LARGE_MAX_STATEMENTS]
     for names in UNITS:
         fns.append(SourceFunction(id="+".join(names), code="\n".join(codes[n] for n in names)))
+    fns.append(SourceFunction(id="type_plumbing", code=TYPE_PLUMBING))
     return fns
 
 
@@ -76,7 +77,7 @@ def _record(fn: SourceFunction) -> dict:
     bundle = parse(fn)
     contexts = []
     for level in Level:
-        filtered = (filter_ast(bundle.ast, level), filter_cfg(bundle.cfg, level), filter_dfg(bundle.dfg, level))
+        filtered = (filter_ast(bundle.ast, level), filter_cfg(bundle.cfg), filter_dfg(bundle.dfg))
         for budget in (1, LEVEL_BUDGETS[level]):
             views = build_salient_views(bundle, *filtered, budget)
             contexts.append([level.value, budget, *verbalize(views)])

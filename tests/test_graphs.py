@@ -31,8 +31,7 @@ def test_copy_bytes_cfg_has_labeled_branch_with_true_false_edges(copy_bytes):
 
 def test_empty_function_graphs_are_minimal():
     bundle = parse(SourceFunction(id="f", code="void f(){}"))
-    semantic = [n for n in bundle.ast.walk() if n.kind != "type-expansion"]
-    assert [n.kind for n in semantic] == ["function-def"]
+    assert [n.kind for n in bundle.ast.walk()] == ["function-def"]
     assert [(n.kind) for n in bundle.cfg.nodes] == ["entry", "exit"]
     assert [(e.src, e.dst) for e in bundle.cfg.edges] == [(0, 1)]
     assert bundle.dfg.nodes == [] and bundle.dfg.edges == []

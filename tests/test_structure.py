@@ -8,9 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fixtures import FIXTURE_CORPUS, GOLDEN_T_AST, GOLDEN_T_CFG, GOLDEN_T_DFG
+from fixtures import FIXTURE_CORPUS, GOLDEN_T_AST, GOLDEN_T_CFG, GOLDEN_T_DFG, TYPE_PLUMBING
 
 from vulncontext.graphs import (
+    AstNode,
+    CategoryCounts,
     CfgEdge,
     CfgGraph,
     CfgNode,
@@ -18,12 +20,12 @@ from vulncontext.graphs import (
     DfgGraph,
     DfgNode,
     SourceFunction,
+    count_ast_categories,
     parse,
 )
 from vulncontext import structure
 from vulncontext.structure import (
     LEVEL_BUDGETS,
-    NOISE_AST_KINDS,
     TEMPLATE_PATTERNS,
     Level,
     aggregate_ast,
@@ -113,11 +115,9 @@ def test_copy_bytes_level_a_retains_exactly_skeleton_kinds(copy_bytes):
     assert kinds == {"function-def", "branch", "call", "return"}
 
 
-def test_copy_bytes_level_c_removes_only_type_expansions(copy_bytes):
+def test_copy_bytes_level_c_returns_the_tree_unchanged(copy_bytes):
     bundle = parse(copy_bytes)
-    filtered = filter_ast(bundle.ast, Level.C)
-    expected = {n.uid for n in bundle.ast.walk() if n.kind not in NOISE_AST_KINDS}
-    assert {n.uid for n in filtered.walk()} == expected
+    assert filter_ast(bundle.ast, Level.C) is bundle.ast
 
 
 def test_empty_function_filters_to_function_def_only():
@@ -137,11 +137,110 @@ def test_ast_level_monotonicity(corpus):
 
 
 def test_no_noise_kinds_survive_any_level(corpus):
-    for fn in corpus:
-        bundle = parse(fn)
-        for level in LEVELS:
-            for node in filter_ast(bundle.ast, level).walk():
-                assert node.kind not in NOISE_AST_KINDS
+    # Every level's tree is spliced from the lowered one, so checking it covers all.
+    for fn in [*corpus, SourceFunction(id="type_plumbing", code=TYPE_PLUMBING)]:
+        assert all(n.kind != "type-expansion" for n in parse(fn).ast.walk()), fn.id
+
+
+# The filtered preorder and counts of ``TYPE_PLUMBING``, whose source is
+# mostly type syntax: how the frontend drops that syntax must not change what
+# any level keeps.
+TYPE_PLUMBING_AST = {
+    Level.A: (
+        CategoryCounts(0, 0, 1, 1),
+        [
+            ("unit", None, 1, None), ("function-def", "pick", 1, None),
+            ("branch", "if((m == ON) && (w > 0))", 9, None),
+            ("return", "(k > 0) ? (twice) : (0)", 11, None), ("function-def", "apply", 14, None),
+            ("return", "cb(value, (char *) 0)", 15, None), ("call", "cb", 15, None),
+            ("function-def", "logf", 18, None), ("return", "fmt[0]", 19, None),
+            ("function-def", "ready", 22, None), ("return", "1", 23, None),
+        ],
+    ),
+    Level.B: (
+        CategoryCounts(12, 5, 1, 1),
+        [
+            ("unit", None, 1, None), ("function-def", "pick", 1, None), ("declaration", "k", 1, "param"),
+            ("declaration", "p", 2, None), ("declaration", "lo", 2, None), ("declaration", "hi", 2, None),
+            ("assignment", "=", 2, None), ("operator", "CompoundLiteral", 1, None),
+            ("operator", "InitList", 2, None), ("operator", "+", 2, None), ("declaration", "c", 3, None),
+            ("declaration", "i", 3, None), ("declaration", "f", 3, None), ("declaration", "m", 4, None),
+            ("assignment", "=", 4, None), ("declaration", "buf", 6, None), ("operator", "+", 6, None),
+            ("operator", "sizeof", 6, None), ("declaration", "w", 7, None), ("assignment", "=", 7, None),
+            ("operator", "*", 7, None), ("operator", "Cast", 7, None), ("operator", "StructRef", 7, None),
+            ("operator", "sizeof", 7, None), ("assignment", "=", 8, None),
+            ("operator", "StructRef", 8, None), ("branch", "if((m == ON) && (w > 0))", 9, None),
+            ("operator", "&&", 9, None), ("operator", "==", 9, None), ("operator", ">", 9, None),
+            ("assignment", "=", 10, None), ("operator", "ArrayRef", 10, None),
+            ("operator", "Cast", 10, None), ("return", "(k > 0) ? (twice) : (0)", 11, None),
+            ("operator", "TernaryOp", 11, None), ("operator", ">", 11, None),
+            ("function-def", "apply", 14, None), ("declaration", "cb", 14, "param"),
+            ("declaration", "n", 14, None), ("declaration", "tag", 14, None),
+            ("declaration", "value", 14, "param"), ("return", "cb(value, (char *) 0)", 15, None),
+            ("call", "cb", 15, None), ("operator", "Cast", 15, None), ("function-def", "logf", 18, None),
+            ("declaration", "fmt", 18, "param"), ("return", "fmt[0]", 19, None),
+            ("operator", "ArrayRef", 19, None), ("function-def", "ready", 22, None),
+            ("return", "1", 23, None),
+        ],
+    ),
+    Level.C: (
+        CategoryCounts(12, 5, 1, 1),
+        [
+            ("unit", None, 1, None), ("function-def", "pick", 1, None), ("declaration", "k", 1, "param"),
+            ("declaration", "p", 2, None), ("declaration", "lo", 2, None), ("declaration", "hi", 2, None),
+            ("assignment", "=", 2, None), ("operator", "CompoundLiteral", 1, None),
+            ("operator", "InitList", 2, None), ("identifier", "k", 2, None), ("operator", "+", 2, None),
+            ("identifier", "k", 2, None), ("constant", "1", 2, None), ("declaration", "c", 3, None),
+            ("declaration", "i", 3, None), ("declaration", "f", 3, None), ("declaration", "m", 4, None),
+            ("constant", "2", 4, None), ("assignment", "=", 4, None), ("identifier", "ON", 4, None),
+            ("declaration", "buf", 6, None), ("operator", "+", 6, None), ("operator", "sizeof", 6, None),
+            ("constant", "4", 6, None), ("declaration", "w", 7, None), ("assignment", "=", 7, None),
+            ("operator", "*", 7, None), ("operator", "Cast", 7, None), ("operator", "StructRef", 7, None),
+            ("identifier", "p", 7, None), ("identifier", "hi", 7, None), ("operator", "sizeof", 7, None),
+            ("assignment", "=", 8, None), ("operator", "StructRef", 8, None), ("identifier", "c", 8, None),
+            ("identifier", "i", 8, None), ("identifier", "k", 8, None),
+            ("branch", "if((m == ON) && (w > 0))", 9, None), ("operator", "&&", 9, None),
+            ("operator", "==", 9, None), ("identifier", "m", 9, None), ("identifier", "ON", 9, None),
+            ("operator", ">", 9, None), ("identifier", "w", 9, None), ("constant", "0", 9, None),
+            ("assignment", "=", 10, None), ("operator", "ArrayRef", 10, None),
+            ("identifier", "buf", 10, None), ("constant", "0", 10, None), ("operator", "Cast", 10, None),
+            ("identifier", "w", 10, None), ("return", "(k > 0) ? (twice) : (0)", 11, None),
+            ("operator", "TernaryOp", 11, None), ("operator", ">", 11, None), ("identifier", "k", 11, None),
+            ("constant", "0", 11, None), ("identifier", "twice", 11, None), ("constant", "0", 11, None),
+            ("function-def", "apply", 14, None), ("declaration", "cb", 14, "param"),
+            ("declaration", "n", 14, None), ("declaration", "tag", 14, None),
+            ("declaration", "value", 14, "param"), ("return", "cb(value, (char *) 0)", 15, None),
+            ("call", "cb", 15, None), ("identifier", "cb", 15, None), ("identifier", "value", 15, None),
+            ("operator", "Cast", 15, None), ("constant", "0", 15, None), ("function-def", "logf", 18, None),
+            ("declaration", "fmt", 18, "param"), ("return", "fmt[0]", 19, None),
+            ("operator", "ArrayRef", 19, None), ("identifier", "fmt", 19, None),
+            ("constant", "0", 19, None), ("function-def", "ready", 22, None), ("return", "1", 23, None),
+            ("constant", "1", 23, None),
+        ],
+    ),
+}
+
+
+def test_type_plumbing_filters_to_the_pinned_preorder():
+    bundle = parse(SourceFunction(id="type_plumbing", code=TYPE_PLUMBING))
+    for level, (counts, preorder) in TYPE_PLUMBING_AST.items():
+        filtered = filter_ast(bundle.ast, level)
+        assert [(n.kind, n.name, n.line, n.role) for n in filtered.walk()] == preorder, level
+        assert count_ast_categories(filtered) == counts, level
+
+
+def test_filter_ast_handles_a_chain_deeper_than_the_recursion_limit():
+    pairs = 2500
+    root = AstNode("function-def", "f", 1)
+    node = root
+    for kind in ["operator", "branch"] * pairs:
+        node.children.append(AstNode(kind, None, 2))
+        node = node.children[0]
+    assert filter_ast(root, Level.C) is root
+    for level, kinds in ((Level.A, ["branch"] * pairs), (Level.B, ["operator", "branch"] * pairs)):
+        chain = list(filter_ast(root, level).walk())
+        assert [n.kind for n in chain] == ["function-def", *kinds], level
+        assert all(len(n.children) == 1 for n in chain[:-1]) and chain[-1].children == []
 
 
 # -- CFG filtering ------------------------------------------------------------
@@ -149,7 +248,7 @@ def test_no_noise_kinds_survive_any_level(corpus):
 
 def test_copy_bytes_cfg_keeps_5_of_9(copy_bytes):
     bundle = parse(copy_bytes)
-    filtered = filter_cfg(bundle.cfg, Level.C)
+    filtered = filter_cfg(bundle.cfg)
     assert len(bundle.cfg.nodes) == 9
     assert len(filtered.nodes) == 5
     assert {n.kind for n in filtered.nodes} == {"entry", "exit", "branch", "call", "return"}
@@ -164,7 +263,7 @@ def test_straight_line_folds_to_entry_exit():
 }
 """
     bundle = parse(SourceFunction(id="s", code=code))
-    filtered = filter_cfg(bundle.cfg, Level.C)
+    filtered = filter_cfg(bundle.cfg)
     assert [(n.kind) for n in filtered.nodes] == ["entry", "exit"]
     assert [(e.src, e.dst, e.label) for e in filtered.edges] == [(0, 1, "seq")]
 
@@ -179,7 +278,7 @@ def test_loop_with_call_fold_matches_hand_fold():
 """
     bundle = parse(SourceFunction(id="h", code=code))
     assert len(bundle.cfg.nodes) == 6
-    filtered = filter_cfg(bundle.cfg, Level.C)
+    filtered = filter_cfg(bundle.cfg)
     kinds = {n.kind for n in filtered.nodes}
     assert kinds == {"entry", "loop", "call", "exit"}
     by_kind = {n.kind: n.id for n in filtered.nodes}
@@ -199,7 +298,7 @@ def test_loop_with_call_fold_matches_hand_fold():
 def test_cfg_filter_preserves_invariants(corpus):
     for fn in corpus:
         bundle = parse(fn)
-        filtered = filter_cfg(bundle.cfg, Level.C)
+        filtered = filter_cfg(bundle.cfg)
         assert len(filtered.entries()) == 1
         assert len(filtered.exits()) == 1
         entry = filtered.entries()[0]
@@ -218,7 +317,7 @@ def test_cfg_filter_preserves_invariants(corpus):
 
 def test_copy_bytes_dfg_keeps_3_of_4_edges_and_2_sources(copy_bytes):
     bundle = parse(copy_bytes)
-    filtered = filter_dfg(bundle.dfg, Level.C)
+    filtered = filter_dfg(bundle.dfg)
     assert len(bundle.dfg.edges) == 4
     assert len(filtered.edges) == 3
     assert sorted(p.var for p in filtered.params()) == ["len", "src"]
@@ -232,7 +331,7 @@ def test_dfg_without_params_or_cross_statement_edges_filters_empty():
         ],
         edges=[DfgEdge(0, 1)],
     )
-    filtered = filter_dfg(dfg, Level.C)
+    filtered = filter_dfg(dfg)
     assert filtered.edges == []
     assert filtered.nodes == []
 
@@ -254,7 +353,7 @@ def test_hand_built_intra_statement_edge_is_dropped():
             DfgEdge(3, 4),  # would survive if reachable
         ],
     )
-    filtered = filter_dfg(dfg, Level.C)
+    filtered = filter_dfg(dfg)
     kept = {(e.src, e.dst) for e in filtered.edges}
     assert (2, 3) not in kept
     assert (0, 1) in kept and (1, 2) in kept
@@ -303,7 +402,7 @@ int add_two(int v) { return v + 1; }
 
 def test_copy_bytes_paths_exact(copy_bytes):
     bundle = parse(copy_bytes)
-    filtered = filter_cfg(bundle.cfg, Level.C)
+    filtered = filter_cfg(bundle.cfg)
     paths = enumerate_paths(filtered, LEVEL_BUDGETS[Level.C])
     assert len(paths) == 2
     first, second = paths
@@ -315,7 +414,7 @@ def test_copy_bytes_paths_exact(copy_bytes):
 
 def test_straight_line_yields_one_path():
     bundle = parse(SourceFunction(id="s", code="void s(void){int a = 1;}"))
-    filtered = filter_cfg(bundle.cfg, Level.C)
+    filtered = filter_cfg(bundle.cfg)
     paths = enumerate_paths(filtered, 4)
     assert len(paths) == 1
 
@@ -332,7 +431,7 @@ def test_two_sequential_ifs_match_brute_force():
 }
 """
     bundle = parse(SourceFunction(id="t", code=code))
-    filtered = filter_cfg(bundle.cfg, Level.C)
+    filtered = filter_cfg(bundle.cfg)
     assert len(filtered.nodes) == 7
     paths = enumerate_paths(filtered, 10)
     assert len(paths) == 4
@@ -374,8 +473,8 @@ def test_paths_obey_budget_and_endpoints(corpus):
         bundle = parse(fn)
         for level in LEVELS:
             ast_f = filter_ast(bundle.ast, level)
-            filtered = filter_cfg(bundle.cfg, level)
-            dfg_f = filter_dfg(bundle.dfg, level)
+            filtered = filter_cfg(bundle.cfg)
+            dfg_f = filter_dfg(bundle.dfg)
             entry = filtered.entries()[0]
             oracle = brute_force_paths(filtered, entry.id, {n.id for n in filtered.exits()})
             budgets = {LEVEL_BUDGETS[level], len(oracle) - 1, len(oracle), len(oracle) + 1} - {0}
@@ -397,7 +496,7 @@ def _ids(paths) -> list[tuple[int, ...]]:
 def test_enumerate_matches_oracle_when_under_budget(corpus):
     for fn in corpus:
         bundle = parse(fn)
-        filtered = filter_cfg(bundle.cfg, Level.C)
+        filtered = filter_cfg(bundle.cfg)
         entry = filtered.entries()[0]
         exits = {n.id for n in filtered.exits()}
         oracle = brute_force_paths(filtered, entry.id, exits)
@@ -417,7 +516,7 @@ def test_budget_selection_prefers_branch_and_call_heavy_paths():
 }
 """
     bundle = parse(SourceFunction(id="many", code=code))
-    filtered = filter_cfg(bundle.cfg, Level.C)
+    filtered = filter_cfg(bundle.cfg)
     entry = filtered.entries()[0]
     exits = {n.id for n in filtered.exits()}
     full = brute_force_paths(filtered, entry.id, exits)
@@ -450,13 +549,11 @@ def _oracle_selection(filtered: CfgGraph, budget: int) -> tuple[int, list[tuple[
 
 def test_budget_selection_matches_oracle(corpus):
     for fn in corpus:
-        bundle = parse(fn)
-        for level in LEVELS:
-            filtered = filter_cfg(bundle.cfg, level)
-            count, _ = _oracle_selection(filtered, 1)
-            for budget in range(1, count):
-                _, expected = _oracle_selection(filtered, budget)
-                assert _ids(enumerate_paths(filtered, budget)) == expected, (fn.id, level, budget)
+        filtered = filter_cfg(parse(fn).cfg)
+        count, _ = _oracle_selection(filtered, 1)
+        for budget in range(1, count):
+            _, expected = _oracle_selection(filtered, budget)
+            assert _ids(enumerate_paths(filtered, budget)) == expected, (fn.id, budget)
 
 
 def test_paths_past_the_enumeration_cap_are_never_kept():
@@ -469,8 +566,8 @@ def test_paths_past_the_enumeration_cap_are_never_kept():
     code = f"void wide({params}) {{\n    int x = 0;\n    " + "\n    ".join(ifs) + "\n}\n"
     bundle = parse(SourceFunction(id="wide", code=code))
     ast_f = filter_ast(bundle.ast, Level.C)
-    filtered = filter_cfg(bundle.cfg, Level.C)
-    dfg_f = filter_dfg(bundle.dfg, Level.C)
+    filtered = filter_cfg(bundle.cfg)
+    dfg_f = filter_dfg(bundle.dfg)
     first_if = min((n for n in filtered.nodes if n.kind == "branch"), key=lambda n: n.line)
     for budget in (1, 16, 17):
         count, expected = _oracle_selection(filtered, budget)
@@ -492,7 +589,7 @@ def test_loop_tails_past_the_enumeration_cap_are_never_kept():
         parts += [f"if (a{i}) {{ f{i}(); }}", f"while (w{i}) {{ g{i}(); }}"]
     params = ", ".join([f"int a{i}" for i in range(7)] + [f"int w{i}" for i in range(7)])
     code = f"void loops({params}) {{\n    int x = 0;\n    " + "\n    ".join(parts) + "\n}\n"
-    filtered = filter_cfg(parse(SourceFunction(id="loops", code=code)).cfg, Level.C)
+    filtered = filter_cfg(parse(SourceFunction(id="loops", code=code)).cfg)
     first_if = min((n for n in filtered.nodes if n.kind == "branch"), key=lambda n: n.line)
     for budget in (1, 16, 17):
         count, expected = _oracle_selection(filtered, budget)
@@ -507,7 +604,7 @@ def test_tails_that_cannot_reach_an_exit_are_never_walked():
     # Every branch leads into a loop with no way out: 2**22 walks, no path.
     ifs = "".join(f"    if (a > {i}) g_{i}(a); else k_{i}(a);\n" for i in range(22))
     code = f"int probe(int a) {{\n{ifs}  L: a = h(a); goto L;\n}}\n"
-    filtered = filter_cfg(parse(SourceFunction(id="probe", code=code)).cfg, Level.C)
+    filtered = filter_cfg(parse(SourceFunction(id="probe", code=code)).cfg)
     start = time.perf_counter()
     assert enumerate_paths(filtered, LEVEL_BUDGETS[Level.C] + 1) == []
     assert time.perf_counter() - start < 1.0
@@ -621,8 +718,8 @@ def _views_by_name(code: str, level: Level, budget: int) -> dict[str, tuple]:
     views = build_salient_views(
         bundle,
         filter_ast(bundle.ast, level),
-        filter_cfg(bundle.cfg, level),
-        filter_dfg(bundle.dfg, level),
+        filter_cfg(bundle.cfg),
+        filter_dfg(bundle.dfg),
         budget,
     )
     return {
@@ -674,7 +771,7 @@ def test_paths_are_enumerated_once_per_function(monkeypatch):
 
 def test_copy_bytes_chain(copy_bytes):
     bundle = parse(copy_bytes)
-    filtered = filter_dfg(bundle.dfg, Level.C)
+    filtered = filter_dfg(bundle.dfg)
     chains = trace_chains(filtered, LEVEL_BUDGETS[Level.C])
     assert len(chains) == 1
     labels = [n.label for n in chains[0].nodes]
@@ -683,7 +780,7 @@ def test_copy_bytes_chain(copy_bytes):
 
 def test_unused_parameter_has_no_chain():
     bundle = parse(SourceFunction(id="u", code="int u(int unused, int v){return v;}"))
-    filtered = filter_dfg(bundle.dfg, Level.C)
+    filtered = filter_dfg(bundle.dfg)
     chains = trace_chains(filtered, 8)
     assert all(c.nodes[0].var != "unused" for c in chains)
 
@@ -715,9 +812,8 @@ def test_diamond_chain_set_matches_brute_force():
 
 def test_chain_head_and_tail_law(corpus):
     for fn in corpus:
-        bundle = parse(fn)
+        filtered = filter_dfg(parse(fn).dfg)
         for level in LEVELS:
-            filtered = filter_dfg(bundle.dfg, level)
             for chain in trace_chains(filtered, LEVEL_BUDGETS[level]):
                 assert chain.nodes[0].kind == "param", fn.id
                 if chain.truncated:
@@ -759,7 +855,7 @@ def test_two_branch_fixture_cfg_section_matches_oracle():
 """
     fn = SourceFunction(id="two", code=code)
     bundle = parse(fn)
-    filtered = filter_cfg(bundle.cfg, Level.C)
+    filtered = filter_cfg(bundle.cfg)
     entry = filtered.entries()[0]
     oracle = brute_force_paths(filtered, entry.id, {n.id for n in filtered.exits()})
     ctx = generate_structural_context(fn, Level.C)
@@ -788,9 +884,8 @@ def test_every_sentence_matches_exactly_one_template(corpus):
 
 def test_view_sizes_monotone_in_level(corpus):
     for fn in corpus:
-        bundle = parse(fn)
+        filtered = filter_cfg(parse(fn).cfg)
         sizes = {}
         for level in LEVELS:
-            filtered = filter_cfg(bundle.cfg, level)
             sizes[level] = len(enumerate_paths(filtered, LEVEL_BUDGETS[level]))
         assert sizes[Level.A] <= sizes[Level.B] <= sizes[Level.C], fn.id
