@@ -8,7 +8,7 @@ class VulnContextError(Exception):
 
 
 class UnsupportedLanguageError(VulnContextError):
-    """No frontend is registered for the requested language."""
+    """The function's language is not C, the only one the frontend reads."""
 
 
 class SourceSyntaxError(VulnContextError):
@@ -21,7 +21,7 @@ class SourceSyntaxError(VulnContextError):
 
 
 class SourceTooDeepError(SourceSyntaxError):
-    """The input nests deeper than the C parser's recursion can follow."""
+    """The input nests deeper than the C frontend's recursion can follow."""
 
 
 class MissingPlaceholderError(VulnContextError):

@@ -1,8 +1,9 @@
 """C source frontend: one parse produces the AST, CFG, and DFG of a function.
 
 C is the only language; any other raises ``UnsupportedLanguageError``.  Input
-that nests deeper than pycparser's recursion allows raises
-``SourceTooDeepError``, any other rejected input ``SourceSyntaxError``.
+too deep for any frontend walk (about 140 nested ``if``s, or about 250 terms in
+one expression) raises ``SourceTooDeepError``, any other rejected input
+``SourceSyntaxError``.
 
 The abstract syntax tree is a lowering of pycparser's concrete tree onto a
 small set of semantic node kinds; grammar plumbing (blocks, lists, and type
@@ -171,7 +172,6 @@ class GraphBundle:
     ast: AstNode
     cfg: CfgGraph
     dfg: DfgGraph
-    source: SourceFunction
 
 
 @dataclass(frozen=True)
@@ -226,12 +226,15 @@ def parse(fn: SourceFunction) -> GraphBundle:
     """Parse one source function into its AST, CFG, and DFG.
 
     Raises SourceSyntaxError when the grammar rejects the input (its
-    SourceTooDeepError subclass when the input nests too deeply to parse) and
-    UnsupportedLanguageError when ``fn.language`` is not C.
+    SourceTooDeepError subclass when the input nests too deeply for any
+    frontend walk) and UnsupportedLanguageError when ``fn.language`` is not C.
     """
     if fn.language.lower() != "c":
         raise UnsupportedLanguageError(f"only C is supported, not {fn.language!r}")
-    return _parse_c(fn)
+    try:
+        return _parse_c(fn)
+    except RecursionError as exc:
+        raise SourceTooDeepError("statements or expressions nest too deeply to analyze") from exc
 
 
 def count_ast_categories(ast: AstNode) -> CategoryCounts:
@@ -270,8 +273,8 @@ _PARSE_ERROR_RE = re.compile(r":(\d+):(\d+):")
 def _parse_c(fn: SourceFunction) -> GraphBundle:
     try:
         unit = _HeaderTypedefParser().parse(fn.code, filename=_safe_name(fn.id))
-    except RecursionError as exc:
-        raise SourceTooDeepError("statements or expressions nest too deeply to parse") from exc
+    except RecursionError:
+        raise  # ``parse`` maps it, from here or any later walk, to SourceTooDeepError
     except Exception as exc:  # pycparser raises plyparser.ParseError
         message = str(exc)
         match = _PARSE_ERROR_RE.search(message)
@@ -301,20 +304,17 @@ def _parse_c(fn: SourceFunction) -> GraphBundle:
         cfg.edges.extend(fn_edges)
         next_id = max(n.id for n in fn_nodes) + 1
         _build_dfg(fn_nodes, fn_edges, refs, params, dfg)
-    return GraphBundle(ast=ast_root, cfg=cfg, dfg=dfg, source=fn)
+    return GraphBundle(ast=ast_root, cfg=cfg, dfg=dfg)
 
 
 def _safe_name(name: str) -> str:
     return re.sub(r"[^\w.-]", "_", name) or "input"
 
 
-_GEN = c_generator.CGenerator()
-
-
 def _render(node) -> str:
-    if node is None:
-        return ""
-    return _GEN.visit(node)
+    # A generator per call: each keeps an indent level, which a RecursionError
+    # leaves raised and which concurrent calls would share.
+    return c_generator.CGenerator().visit(node)
 
 
 def _line_of(node, fallback: int = 1) -> int:
@@ -368,38 +368,35 @@ def _lower_funcdef(fd: c_ast.FuncDef) -> AstNode:
             if isinstance(param, c_ast.Decl) and param.name:
                 root.children.append(_lower_decl(param, role="param"))
             else:
-                root.children.extend(_lower(param))
-    if fd.body is not None:
-        root.children.extend(_lower(fd.body))
+                root.children.extend(_lower(param, line))
+    root.children.extend(_lower(fd.body, line))
     return root
 
 
 def _lower_decl(decl: c_ast.Decl, role: str | None = None) -> AstNode:
     line = _line_of(decl)
     node = AstNode(kind="declaration", name=decl.name, line=line, role=role)
-    node.children.extend(_lower(decl.type))
+    node.children.extend(_lower(decl.type, line))
     if decl.init is not None:
-        node.children.append(AstNode("assignment", "=", line, children=_lower(decl.init)))
+        node.children.append(AstNode("assignment", "=", line, children=_lower(decl.init, line)))
     return node
 
 
-def _lower(node) -> list[AstNode]:
-    """Lower an arbitrary pycparser node to zero or more AstNodes."""
-    if node is None:
-        return []
+def _lower(node, line: int) -> list[AstNode]:
+    """Lower an arbitrary pycparser node to zero or more AstNodes; one without
+    a position (a compound literal) takes ``line``, its nearest ancestor's."""
+    line = _line_of(node, line)
     if isinstance(node, _SPLICE_NODES):
         out: list[AstNode] = []
         for _, child in node.children():
-            out.extend(_lower(child))
+            out.extend(_lower(child, line))
         return out
     if isinstance(node, c_ast.Decl):
         return [_lower_decl(node)]
-    if isinstance(node, c_ast.FuncDef):
-        return [_lower_funcdef(node)]
     kind, name = _classify(node)
-    lowered = AstNode(kind=kind, name=name, line=_line_of(node))
+    lowered = AstNode(kind=kind, name=name, line=line)
     for _, child in node.children():
-        lowered.children.extend(_lower(child))
+        lowered.children.extend(_lower(child, line))
     return [lowered]
 
 
@@ -567,7 +564,7 @@ class _CfgBuilder:
         self.exit_id = exit_node.id
         self.frontier = [(entry.id, "seq")]
 
-        body_items = fd.body.block_items or [] if fd.body is not None else []
+        body_items = fd.body.block_items or []
         body_start_count = len(self.nodes)
         for stmt in body_items:
             self._build_stmt(stmt)
@@ -868,7 +865,11 @@ def _decl_type_names(decl: c_ast.Decl) -> list[str]:
 
 
 def _flatten_cases(stmt) -> list[tuple[object, list]]:
-    """Flatten a switch body into (case expression | None for default, stmts)."""
+    """Flatten a switch body into (case expression | None for default, stmts).
+
+    pycparser moves every statement after a label into its case; one before
+    the first label is unreachable and dropped.
+    """
     items = stmt.block_items or [] if isinstance(stmt, c_ast.Compound) else [stmt]
     cases: list[tuple[object, list]] = []
     for item in items:
@@ -882,8 +883,6 @@ def _flatten_cases(stmt) -> list[tuple[object, list]]:
                 stmts = []
             cases.append((expr, stmts))
             current = nested
-        if not isinstance(item, (c_ast.Case, c_ast.Default)) and cases:
-            cases[-1][1].append(item)
     return cases
 
 

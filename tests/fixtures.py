@@ -381,6 +381,12 @@ def nested_ifs(depth: int) -> SourceFunction:
     return SourceFunction(id=f"deep{depth}", code=code)
 
 
+def dead_end(ifs: int) -> SourceFunction:
+    """``ifs`` if/else statements, then a loop with no way out: 2**ifs walks, no path."""
+    arms = "".join(f"    if (a > {i}) g_{i}(a); else k_{i}(a);\n" for i in range(ifs))
+    return SourceFunction(id=f"dead-end-{ifs}", code=f"int probe(int a) {{\n{arms}  L: a = h(a); goto L;\n}}\n")
+
+
 # One unit that holds each piece of C type syntax the frontend lowers: struct,
 # union and enum definitions, a typedef, casts, sizeof of a type, an array
 # dimension, a compound literal, a function-pointer parameter, variadic and
@@ -408,6 +414,77 @@ int logf(const char *fmt, ...) {
 
 int ready(void) {
     return 1;
+}
+"""
+
+
+# One unit that reaches each control-flow and reference shape of the frontend
+# that the corpus above leaves out: ``continue`` in a ``while``, ``break`` and
+# ``continue`` outside any loop, a label on an empty statement, a bare ``;``,
+# an unreachable statement, ``for`` loops without an init, without a next and
+# with neither, a two-declarator ``for`` init, an ``if`` whose arms both
+# return, a ``switch`` with an empty body, one without ``default``, one whose
+# every case returns, brace-less stacked cases, writes through ``*p``,
+# ``*(p + 1)``, ``p->f`` and a non-lvalue, calls through ``(*fp)(x)`` and
+# ``s.cb(x)``, and a function with an empty parameter list.
+CONTROL_PLUMBING = """int loops(int n, const int *src) {
+    int total = 0;
+    while (n > 0) {
+        n--;
+        if (n == 3)
+            continue;
+        total += src[n];
+    }
+    for (; n < 4; n++)
+        total++;
+    for (int a = 0, b = 1; a < b;)
+        a += b;
+    for (;;) {
+        if (total > 9)
+            break;
+        total++;
+    }
+    return total;
+}
+
+int jumps() {
+    int x = level();
+    if (x > 5)
+        break;
+    if (x > 4)
+        continue;
+done: ;
+    ;
+    if (x > 2)
+        return 1;
+    else
+        return 2;
+    x++;
+}
+
+int writes(int k, int *p, struct node *q, int (*fp)(int), struct ops s) {
+    switch (k) { }
+    switch (k) {
+    case 1:
+        k++;
+        break;
+    case 2:
+        k--;
+    }
+    switch (k)
+        case 3: case 4: k = 0;
+    *p = k;
+    *(p + 1) = k;
+    q->f = k;
+    f()++;
+    k = (*fp)(k);
+    s.cb(k);
+    switch (k) {
+    case 5:
+        return 1;
+    default:
+        return 2;
+    }
 }
 """
 

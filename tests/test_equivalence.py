@@ -4,7 +4,7 @@ The structural digest covers each unit's CFG and DFG node and edge lists as
 ``parse`` returns them, and its verbalized A/B/C context at budget 1 and at
 the level budget.  The inputs are the fixture corpus, seeded small pairs and
 large functions from the benchmark's generators, a few multi-function units,
-and one unit of C type syntax.
+one unit of C type syntax and one of control-flow and reference shapes.
 
 The verdict digest covers the verdict files of scripted batch runs in which
 every fault kind occurs, and the run summary that ``analyze`` writes.  Each
@@ -24,7 +24,7 @@ import sys
 from dataclasses import astuple
 from pathlib import Path
 
-from fixtures import FIXTURE_CORPUS, TYPE_PLUMBING
+from fixtures import CONTROL_PLUMBING, FIXTURE_CORPUS, TYPE_PLUMBING
 
 from vulncontext.cli import main
 from vulncontext.errors import LlmTimeoutError, LlmTransportError
@@ -45,7 +45,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
 import workloads  # noqa: E402
 
-STRUCTURE_SHA256 = "79059c9beb0a3e0ee4ba17d175329402239ed0642585897778bf6c7ece603a9a"
+STRUCTURE_SHA256 = "77876b489e2272c947e6b3438683146e78cd1647bf0216b7c47e33bff49315e2"
 VERDICT_SHA256 = "b16c8848903c33c536822f79fd3dd352b92d75310e5fc143c0f9f20bf263b55c"
 
 SMALL_PAIRS = 20
@@ -70,6 +70,7 @@ def _inputs() -> list[SourceFunction]:
     for names in UNITS:
         fns.append(SourceFunction(id="+".join(names), code="\n".join(codes[n] for n in names)))
     fns.append(SourceFunction(id="type_plumbing", code=TYPE_PLUMBING))
+    fns.append(SourceFunction(id="control_plumbing", code=CONTROL_PLUMBING))
     return fns
 
 

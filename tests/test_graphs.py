@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from pycparser import CParser
 
-from fixtures import COPY_BYTES, nested_ifs
+from fixtures import COPY_BYTES, TYPE_PLUMBING, nested_ifs
 
 from vulncontext.errors import SourceSyntaxError, SourceTooDeepError, UnsupportedLanguageError
 from vulncontext.graphs import (
@@ -152,15 +152,18 @@ def test_straight_line_cfg_orders_statements():
 
 
 def test_node_lines_stay_inside_function_range(corpus):
-    for fn in corpus:
+    # Behind blank lines, a node that took line 1 for want of a position shows.
+    shifted = SourceFunction(id="type_plumbing", code="\n" * 4 + TYPE_PLUMBING)
+    for fn in [*corpus, shifted]:
         bundle = parse(fn)
+        first_line = len(fn.code) - len(fn.code.lstrip("\n")) + 1
         last_line = fn.code.count("\n") + 1
         for node in bundle.ast.walk():
-            assert 1 <= node.line <= last_line, (fn.id, node.kind, node.line)
+            assert first_line <= node.line <= last_line, (fn.id, node.kind, node.line)
         for node in bundle.cfg.nodes:
-            assert 1 <= node.line <= last_line, (fn.id, node.label)
+            assert first_line <= node.line <= last_line, (fn.id, node.label)
         for node in bundle.dfg.nodes:
-            assert 1 <= node.line <= last_line, (fn.id, node.label)
+            assert first_line <= node.line <= last_line, (fn.id, node.label)
 
 
 def test_dfg_anchoring_across_corpus(corpus):
@@ -293,6 +296,18 @@ def test_input_too_deep_for_the_parser_has_its_own_cause():
         parse(nested_ifs(200))
     assert isinstance(err.value, SourceSyntaxError)
     assert isinstance(err.value.__cause__, RecursionError)
+
+
+def test_a_render_cut_short_by_depth_leaves_later_labels_unchanged():
+    # Rendering a struct definition indents its members; the failed render
+    # must not leave the next one indented.
+    probe = SourceFunction(id="probe", code="int g(void) { return sizeof(struct t { int b; }); }")
+    labels = [n.label for n in parse(probe).cfg.nodes]
+    dimension = " + ".join(["1"] * 400)
+    deep = SourceFunction(id="deep", code=f"int f(void) {{ return sizeof(struct s {{ int a[{dimension}]; }}); }}")
+    with pytest.raises(SourceTooDeepError):
+        parse(deep)
+    assert [n.label for n in parse(probe).cfg.nodes] == labels
 
 
 def test_declaration_only_input_is_rejected():
