@@ -322,6 +322,18 @@ def _line_of(node, fallback: int = 1) -> int:
     return coord.line if coord is not None and coord.line else fallback
 
 
+def _first_line(node) -> int:
+    """The line of ``node``, or else the first line found inside it (preorder)."""
+    stack = [node]
+    while stack:
+        current = stack.pop()
+        line = _line_of(current, 0)
+        if line:
+            return line
+        stack.extend(child for _, child in reversed(current.children()))
+    return 1
+
+
 # -- AST lowering -----------------------------------------------------------
 
 # Grammar plumbing: blocks, lists, and type syntax.  Each is replaced by its
@@ -670,7 +682,7 @@ class _CfgBuilder:
         elif isinstance(stmt, c_ast.EmptyStatement):
             pass
         else:
-            self._build_effect(stmt, _line_of(stmt))
+            self._build_effect(stmt, _first_line(stmt))  # a compound literal has no coord
 
     def _build_effect(self, expr, line: int, target: str | None = None) -> None:
         """One node for an expression statement, or for the initializer of
@@ -752,7 +764,8 @@ class _CfgBuilder:
 
         if node.next is not None:
             nrefs = _stmt_refs(node.next)
-            nxt = self._node("statement", _render(node.next), _line_of(node.next), nrefs)
+            line = _line_of(node.next, _line_of(node))
+            nxt = self._node("statement", _render(node.next), line, nrefs)
             self._wire(body_exits, nxt.id)
             self._wire(cont.deferred, nxt.id)
             self.edges.append(CfgEdge(nxt.id, loop.id, "seq", back=True))

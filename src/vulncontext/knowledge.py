@@ -7,13 +7,18 @@ map for lexical overlap.  Query/passage similarity is the convex combination
 
     alpha * cos(dense_q, dense_d) + (1 - alpha) * sum_t sparse_q[t] * sparse_d[t]
 
-over shared terms t.  Retrieval scores the whole corpus per query with one
-matrix-vector product for the dense side and, for the sparse side, the
-posting lists of the query's terms (built in memory from the stored term-id
-and weight arrays when the index is built or loaded).  The few entries
-within a small margin of the k-th best score are then re-scored as
-``hybrid_score`` computes them and ranked, so rankings and scores equal
-exhaustive scoring exactly.
+over shared terms t.  A dense vector sums its terms' weighted directions in
+the order of its sparse map and is divided by its own norm.  An index build
+does this for all passages at once, one term position at a time, and never
+by an axis reduction, which would sum in another order: every row is
+bit-identical to encoding its passage alone.
+
+Retrieval scores the whole corpus per query with one matrix-vector product
+for the dense side and, for the sparse side, the posting lists of the
+query's terms (built in memory from the stored term-id and weight arrays
+when the index is built or loaded).  The few entries within a small margin
+of the k-th best score are then re-scored as ``hybrid_score`` computes them
+and ranked, so rankings and scores equal exhaustive scoring exactly.
 
 An index file (format version 2) is one line of JSON header (magic, format
 version, build metadata, encoder, fingerprint, passages, and the vocabulary
@@ -115,8 +120,9 @@ def _cwe_sort_key(cwe_id: str) -> tuple[int, str]:
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
 
-# Term directions cached per encoder before the cache is emptied: above the
-# vocabulary of a CWE corpus, while model-written queries add terms without end.
+# Query-term directions cached per encoder before the cache is emptied:
+# model-written queries add terms without end.  An index build draws its
+# whole vocabulary into one matrix instead and leaves the cache alone.
 _TERM_CACHE_LIMIT = 1 << 14
 
 
@@ -128,6 +134,13 @@ class ReferenceEncoder:
     random projection of the sparse vector onto ``dim`` dimensions,
     unit-normalized.  The per-term projection directions derive from a stable
     hash, so identical text encodes identically on every platform and run.
+
+    A dense row is summed term by term in the order of its sparse map, from
+    zeros, and divided by its own ``np.linalg.norm``; ``_unit_rows`` does this
+    for many rows at once by adding term position j of every row in one
+    elementwise step.  Axis reductions (``np.add.reduce`` over terms,
+    ``np.linalg.norm(rows, axis=1)``) would sum in another order and move the
+    last bit of stored vectors and scores.
     """
 
     name = "reference-tf-randproj"
@@ -154,27 +167,60 @@ class ReferenceEncoder:
             out[token] = out.get(token, 0.0) + weight
         return out
 
-    def _term_direction(self, term: str) -> np.ndarray:
-        cached = self._term_cache.get(term)
-        if cached is not None:
-            return cached
+    def _draw(self, term: str, out: np.ndarray | None = None) -> np.ndarray:
+        """``term``'s projection direction, seeded by a stable hash of it."""
         digest = hashlib.sha256(f"{self.seed}:{term}".encode("utf-8")).digest()
         rng = np.random.default_rng(int.from_bytes(digest[:8], "big"))
-        direction = rng.standard_normal(self.dim)
-        if len(self._term_cache) >= _TERM_CACHE_LIMIT:
-            self._term_cache.clear()
-        self._term_cache[term] = direction
-        return direction
+        return rng.standard_normal(self.dim, out=out)
+
+    def _term_direction(self, term: str) -> np.ndarray:
+        cached = self._term_cache.get(term)
+        if cached is None:
+            if len(self._term_cache) >= _TERM_CACHE_LIMIT:
+                self._term_cache.clear()
+            cached = self._term_cache[term] = self._draw(term)
+        return cached
+
+    def _directions(self, terms: list[str]) -> np.ndarray:
+        """A ``(len(terms), dim)`` matrix of fresh directions, one draw per term."""
+        directions = np.empty((len(terms), self.dim))
+        for row, term in zip(directions, terms):
+            self._draw(term, out=row)
+        return directions
+
+    def _unit_rows(
+        self,
+        directions: np.ndarray,
+        offsets: np.ndarray,
+        term_ids: np.ndarray,
+        weights: np.ndarray,
+    ) -> np.ndarray:
+        """Row i is the sum of ``weights[p] * directions[term_ids[p]]`` for p in
+        ``offsets[i]:offsets[i + 1]``, in that order, over its own norm."""
+        lengths = np.diff(offsets)
+        order = np.argsort(-lengths, kind="stable")  # longest first
+        starts = offsets[:-1][order]
+        sums = np.zeros((len(lengths), self.dim))
+        # Rows with a term at position j are the first have[j] of ``order``.
+        have = len(lengths) - np.cumsum(np.bincount(lengths))
+        for j, k in enumerate(have[:-1].tolist()):
+            at = starts[:k] + j
+            sums[:k] += weights.take(at)[:, None] * directions.take(term_ids.take(at), axis=0)
+        rows = np.empty_like(sums)
+        rows[order] = sums
+        for row in rows:
+            norm = np.linalg.norm(row)
+            if norm > 0:
+                row /= norm
+        return rows
 
     def dense(self, text: str, sparse: dict[str, float] | None = None) -> np.ndarray:
         weights = self.sparse(text) if sparse is None else sparse
-        vec = np.zeros(self.dim)
-        for term, weight in weights.items():
-            vec += weight * self._term_direction(term)
-        norm = np.linalg.norm(vec)
-        if norm > 0:
-            vec = vec / norm
-        return vec
+        m = len(weights)
+        directions = np.array([self._term_direction(t) for t in weights]).reshape(m, self.dim)
+        return self._unit_rows(
+            directions, np.array([0, m]), np.arange(m), np.fromiter(weights.values(), float, m)
+        )[0]
 
     def encode(self, text: str) -> tuple[np.ndarray, dict[str, float]]:
         sparse = self.sparse(text)
@@ -595,23 +641,24 @@ def build_knowledge_base(
 ) -> KnowledgeIndex:
     """Encode every passage with both representations and build the index."""
     encoder = encoder or ReferenceEncoder()
-    dense_rows = []
     term_ids: dict[str, int] = {}  # in order of first appearance
     lengths, ids, weights = [0], [], []
     for entry in entries:
-        dense, sparse = encoder.encode(entry.passage)
-        dense_rows.append(dense)
+        sparse = encoder.sparse(entry.passage)
         lengths.append(len(sparse))
         ids.extend(term_ids.setdefault(term, len(term_ids)) for term in sparse)
         weights.extend(sparse.values())
-    dense = np.vstack(dense_rows) if dense_rows else np.zeros((0, encoder.dim))
+    terms = list(term_ids)
+    offsets = np.cumsum(lengths, dtype=np.int64)
+    ids_array = np.array(ids, dtype=np.int32)
+    weights_array = np.array(weights, dtype=np.float64)
     return KnowledgeIndex(
         entries=list(entries),
-        dense=dense,
-        terms=list(term_ids),
-        offsets=np.cumsum(lengths, dtype=np.int64),
-        term_ids=np.array(ids, dtype=np.int32),
-        weights=np.array(weights, dtype=np.float64),
+        dense=encoder._unit_rows(encoder._directions(terms), offsets, ids_array, weights_array),
+        terms=terms,
+        offsets=offsets,
+        term_ids=ids_array,
+        weights=weights_array,
         encoder=encoder,
     )
 

@@ -166,6 +166,20 @@ def test_node_lines_stay_inside_function_range(corpus):
             assert first_line <= node.line <= last_line, (fn.id, node.label)
 
 
+def test_cfg_statements_without_a_position_keep_their_lines():
+    # pycparser gives a compound literal no coord: the expression statement
+    # takes the first line inside it, the for loop's next expression the loop's.
+    code = "int f(int k) {\n\n\n  (struct s){k};\n  for (;;(struct s){k}) k++;\n  return 0;\n}"
+    cfg = parse(SourceFunction(id="f", code=code)).cfg
+    assert [(n.kind, n.label, n.line) for n in cfg.nodes if n.kind not in ("entry", "exit")] == [
+        ("statement", "(struct s){k}", 4),
+        ("loop", "for(; ; (struct s){k})", 5),
+        ("statement", "k++", 5),
+        ("statement", "(struct s){k}", 5),
+        ("return", "return 0", 6),
+    ]
+
+
 def test_dfg_anchoring_across_corpus(corpus):
     for fn in corpus:
         bundle = parse(fn)

@@ -49,6 +49,11 @@ import workloads  # noqa: E402
 # version 2, the JSON header line followed by numpy blocks).
 TOY_INDEX_SHA256 = "3a30acdc3aa4bc74bf0a297c3afb60ac1ff30c1da0e7f97aead3f6e09d5d645c"
 
+# sha256 of ``bench_index.save()`` bytes: every bit of the 1000 benchmark rows,
+# which the 6 toy entries cannot show.  A change to how rows are summed or
+# normalised moves it.
+BENCH_INDEX_SHA256 = "20b061fa88f66b89bad20743238a2540ca6d25498fcc1bff3c14736e8612f98b"
+
 CWE_XML = """<?xml version="1.0" encoding="UTF-8"?>
 <Weakness_Catalog xmlns="http://cwe.mitre.org/cwe-7" Version="4.14">
   <Weaknesses>
@@ -474,6 +479,69 @@ def test_round_trip_is_exact_at_benchmark_scale(tmp_path, bench_index):
                 assert [(e.cwe_id, s.hex()) for e, s in after] == [
                     (e.cwe_id, s.hex()) for e, s in before
                 ], (query, alpha, k)
+
+
+def test_benchmark_index_file_bytes_are_unchanged(tmp_path, bench_index):
+    path = tmp_path / "kb.idx"
+    bench_index.save(path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == BENCH_INDEX_SHA256
+
+
+def loop_rows(passages: list[str], dim: int) -> list[np.ndarray]:
+    """Each passage's dense row summed term by term, then over its own norm."""
+    encoder = ReferenceEncoder(dim=dim)
+    rows = []
+    for passage in passages:
+        vec = np.zeros(dim)
+        for term, w in encoder.sparse(passage).items():
+            digest = hashlib.sha256(f"0:{term}".encode("utf-8")).digest()
+            d = np.random.default_rng(int.from_bytes(digest[:8], "big")).standard_normal(dim)
+            vec += w * d
+        norm = np.linalg.norm(vec)
+        if norm > 0:
+            vec = vec / norm
+        rows.append(vec)
+    return rows
+
+
+_FEW_WORDS = ["buffer", "overflow", "free", "null", "x", "len", "copy", "bounds"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    dim=st.sampled_from((1, 2, 64)),
+    passages=st.lists(
+        st.lists(st.sampled_from(_FEW_WORDS), max_size=60).map(" ".join), max_size=6
+    ),
+)
+def test_built_rows_and_dense_equal_a_term_by_term_loop(dim, passages):
+    # Dimension 1 is where any other order of summing shows most often.
+    passages = passages + ["free " * 40 + "null " * 7 + "len", "overflow", "!!! -- ::", ""]
+    encoder = ReferenceEncoder(dim=dim)
+    index = build_knowledge_base(
+        [KnowledgeEntry(f"CWE-{i}", p, "") for i, p in enumerate(passages)], encoder
+    )
+    expected = loop_rows(passages, dim)
+    assert index.dense.shape == (len(passages), dim)
+    for i, passage in enumerate(passages):
+        assert index.dense[i].tobytes() == expected[i].tobytes(), (dim, passage)
+        assert encoder.dense(passage).tobytes() == expected[i].tobytes(), (dim, passage)
+    assert not index.dense[-2:].any()  # no tokens: the row stays zero
+    empty = build_knowledge_base([], ReferenceEncoder(dim=dim))
+    assert empty.dense.shape == (0, dim) and empty.terms == [] and empty.offsets.tolist() == [0]
+
+
+def test_build_draws_each_vocabulary_term_once(monkeypatch):
+    # More distinct terms than the query cache holds, with the first terms
+    # repeated after it would have been emptied.
+    chunks = [" ".join(f"fresh{i}" for i in range(s, s + 500)) for s in range(0, 17_000, 500)]
+    entries = [KnowledgeEntry(f"CWE-{i}", f"buffer overflow {c}", "") for i, c in enumerate(chunks)]
+    seeds = []
+    draw = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: seeds.append(seed) or draw(seed))
+    index = build_knowledge_base(entries)
+    assert len(index.terms) == 17_002 > knowledge._TERM_CACHE_LIMIT
+    assert len(seeds) == len(index.terms)
 
 
 def test_term_cache_stays_bounded_and_exact():
