@@ -292,6 +292,7 @@ def _cmd_evaluate(args) -> int:
 
     outcomes = []
     flagged: list[dict] = []
+    scored: list[tuple[str, str, str]] = []  # (id, effective label, truth) per pair member
     for pair in sampled:
         record_v = verdicts.get(pair.vulnerable_id)
         record_b = verdicts.get(pair.benign_id)
@@ -308,6 +309,7 @@ def _cmd_evaluate(args) -> int:
                 }
             )
         outcomes.append(classify_pair(pred_v, pred_b))
+        scored += [(pair.vulnerable_id, pred_v, "vulnerable"), (pair.benign_id, pred_b, "benign")]
 
     pc, pv, pb, pr = tally_outcomes(outcomes)
     report = compute_metrics(pc, pv, pb, pr)
@@ -335,18 +337,12 @@ def _cmd_evaluate(args) -> int:
 
     if args.baseline:
         baseline = load_verdicts(args.baseline)
-        preds_a, preds_b, labels = [], [], []
-        for pair in sampled:
-            for fid in (pair.vulnerable_id, pair.benign_id):
-                if fid not in baseline:
-                    raise MissingPredictionError(f"baseline lacks a prediction for {fid!r}")
-                fn = functions.get(fid)
-                if fn is None or fn.label is None:
-                    raise DatasetFormatError(f"dataset lacks a label for {fid!r}")
-                preds_a.append(_effective_label(verdicts[fid])[0])
-                preds_b.append(_effective_label(baseline[fid])[0])
-                labels.append(fn.label)
-        p_value = mcnemar_exact(preds_a, preds_b, labels)
+        preds_b = []
+        for fid, _, _ in scored:
+            if fid not in baseline:
+                raise MissingPredictionError(f"baseline lacks a prediction for {fid!r}")
+            preds_b.append(_effective_label(baseline[fid])[0])
+        p_value = mcnemar_exact([pred for _, pred, _ in scored], preds_b, [truth for _, _, truth in scored])
         bands = [band for band, cut in (("p<0.001", 1e-3), ("p<0.05", 0.05)) if p_value < cut]
         print(f"McNemar exact p-value vs baseline: {p_value:.6g}" + (f" ({bands[0]})" if bands else ""))
         payload["mcnemar"] = {"p_value": p_value, "significant_bands": bands}

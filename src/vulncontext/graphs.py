@@ -12,6 +12,8 @@ children lowered in its place.  The finished tree is numbered once, in
 preorder.  The control-flow graph allocates one node per statement or
 condition, with explicit join nodes after branch constructs and an implicit
 end-of-body node for functions whose control can fall off the closing brace.
+Only branch and loop nodes fork: every plain ``statement`` node has exactly
+one out-edge, labelled ``seq``.
 One walk over each statement finds the names it reads and writes and its
 first call; a statement that holds a call becomes a call node.  The data-flow
 graph links each definition to its subsequent uses (reaching definitions,
@@ -126,9 +128,6 @@ class CfgGraph:
     nodes: list[CfgNode] = field(default_factory=list)
     edges: list[CfgEdge] = field(default_factory=list)
 
-    def out_edges(self, node_id: int) -> list[CfgEdge]:
-        return [e for e in self.edges if e.src == node_id]
-
     def entries(self) -> list[CfgNode]:
         return [n for n in self.nodes if n.kind == "entry"]
 
@@ -157,9 +156,6 @@ class DfgEdge:
 class DfgGraph:
     nodes: list[DfgNode] = field(default_factory=list)
     edges: list[DfgEdge] = field(default_factory=list)
-
-    def out_edges(self, node_id: int) -> list[DfgEdge]:
-        return [e for e in self.edges if e.src == node_id]
 
     def params(self) -> list[DfgNode]:
         return [n for n in self.nodes if n.kind == "param"]
@@ -672,13 +668,15 @@ class _CfgBuilder:
             self.pending_gotos.append((node.id, stmt.name))
             self.frontier = []
         elif isinstance(stmt, c_ast.Label):
-            before = self._next_id
+            # A goto jumps to the first node built here.  When only a goto
+            # reaches the label, an anchor goes first so the statement builds.
+            first = self._next_id
+            if not self.frontier:
+                self._attach("statement", f"{stmt.name}:", _line_of(stmt))
             self._build_stmt(stmt.stmt)
-            if self._next_id > before:
-                self.labels[stmt.name] = before
-            else:
-                anchor = self._attach("statement", f"{stmt.name}:", _line_of(stmt))
-                self.labels[stmt.name] = anchor.id
+            if self._next_id == first:  # the statement built nothing
+                self._attach("statement", f"{stmt.name}:", _line_of(stmt))
+            self.labels[stmt.name] = first
         elif isinstance(stmt, c_ast.EmptyStatement):
             pass
         else:

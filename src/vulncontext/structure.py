@@ -16,6 +16,9 @@ paths are the best of the first ``_MAX_ENUMERATED_PATHS`` found.
 Degenerate views (an entry-to-exit path with no interior node, a parameter
 that feeds a sink directly with no intermediate hop) are not verbalized;
 the per-function summary sentence already accounts for them.
+
+The CFG filter folds each statement chain along its single successor; the
+DFG filter keeps what a walk from the parameters reaches.
 """
 
 from __future__ import annotations
@@ -125,47 +128,42 @@ def filter_ast(ast: AstNode, level: Level) -> AstNode:
 
 
 def filter_cfg(cfg: CfgGraph) -> CfgGraph:
-    """Fold maximal chains of plain statement nodes into single edges.
+    """Fold each chain of plain statement nodes into a single edge.
 
-    Entry/exit, branch, loop, call, and return nodes survive; a folded edge
-    keeps the first branch label found along the chain and remains a back
-    edge if any folded hop was one.
+    Entry/exit, branch, loop, call, and return nodes survive.  Each out-edge
+    of a kept node is followed through the one successor of every plain
+    statement until it reaches a kept node; the folded edge keeps the label
+    of the edge that entered the chain and is a back edge if any hop was
+    one.  An edge into a cycle made only of statements is dropped.
     """
-    # Edges as (src, dst, label, back) tuples, indexed by both endpoints.
-    ins: dict[int, set[tuple]] = defaultdict(set)
-    outs: dict[int, set[tuple]] = defaultdict(set)
+    kept = {n.id for n in cfg.nodes if n.kind in RETAINED_CFG_KINDS}
+    # The one out-edge of each plain statement (see ``graphs``).
+    step = {e.src: e for e in cfg.edges if e.src not in kept}
+    folded: set[tuple[int, int, str, bool]] = set()
     for e in cfg.edges:
-        edge = (e.src, e.dst, e.label, e.back)
-        outs[e.src].add(edge)
-        ins[e.dst].add(edge)
-
-    for node_id in sorted(n.id for n in cfg.nodes if n.kind not in RETAINED_CFG_KINDS):
-        incoming = ins.pop(node_id, set())
-        outgoing = outs.pop(node_id, set())
-        for edge in incoming:
-            outs[edge[0]].discard(edge)
-        for edge in outgoing:
-            ins[edge[1]].discard(edge)
-        # A self-loop on the folded node is in both sets and vanishes with it.
-        for src, _, in_label, in_back in incoming - outgoing:
-            for _, dst, out_label, out_back in outgoing - incoming:
-                label = in_label if in_label in ("True", "False") else out_label
-                edge = (src, dst, label, in_back or out_back)
-                outs[src].add(edge)
-                ins[dst].add(edge)
+        if e.src not in kept:
+            continue
+        dst, back, chain = e.dst, e.back, set()
+        while dst not in kept and dst not in chain:
+            chain.add(dst)
+            hop = step[dst]
+            dst, back = hop.dst, back or hop.back
+        if dst in kept:
+            folded.add((e.src, dst, e.label, back))
 
     out = CfgGraph()
-    out.nodes = [n for n in cfg.nodes if n.kind in RETAINED_CFG_KINDS]
-    out.edges = [CfgEdge(*edge) for edge in sorted(e for es in outs.values() for e in es)]
+    out.nodes = [n for n in cfg.nodes if n.id in kept]
+    out.edges = [CfgEdge(*edge) for edge in sorted(folded)]
     return out
 
 
 def filter_dfg(dfg: DfgGraph) -> DfgGraph:
-    """Keep parameter sources and the cross-statement edges on their chains.
+    """Keep what a walk from the parameters reaches over cross-statement edges.
 
-    Edges inside a single statement are dropped, as are flows that originate
-    at a local definition with no parameter upstream.  Parameter nodes are
-    always retained.
+    The kept nodes are the ones the walk reaches, parameters included; the
+    kept edges are the cross-statement edges that leave them.  Edges inside
+    a single statement are dropped, as are flows that originate at a local
+    definition with no parameter upstream.
     """
     by_id = {n.id: n for n in dfg.nodes}
     # Every edge joins two nodes of one function.
@@ -176,7 +174,6 @@ def filter_dfg(dfg: DfgGraph) -> DfgGraph:
 
     reached: set[int] = set()
     stack = [n.id for n in dfg.nodes if n.kind == "param"]
-    param_ids = set(stack)
     while stack:
         current = stack.pop()
         if current in reached:
@@ -184,12 +181,9 @@ def filter_dfg(dfg: DfgGraph) -> DfgGraph:
         reached.add(current)
         stack.extend(adj.get(current, ()))
 
-    kept_edges = [e for e in cross if e.src in reached and e.dst in reached]
-    kept_node_ids = {e.src for e in kept_edges} | {e.dst for e in kept_edges} | param_ids
-
     out = DfgGraph()
-    out.nodes = [n for n in dfg.nodes if n.id in kept_node_ids]
-    out.edges = kept_edges
+    out.nodes = [n for n in dfg.nodes if n.id in reached]
+    out.edges = [e for e in cross if e.src in reached]
     return out
 
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections import defaultdict
+
 from vulncontext.graphs import SourceFunction
 from vulncontext.knowledge import KnowledgeEntry
 
@@ -375,6 +377,14 @@ out:
 ]
 
 
+def out_edges(graph) -> defaultdict:
+    """A CFG's or DFG's out-edges by source node id, in edge order."""
+    adjacency: defaultdict = defaultdict(list)
+    for e in graph.edges:
+        adjacency[e.src].append(e)
+    return adjacency
+
+
 def nested_ifs(depth: int) -> SourceFunction:
     """A function whose body is ``depth`` nested ``if`` blocks."""
     code = "int deep(int x) {\n" + "if (x) {\n" * depth + "x++;\n" + "}\n" * depth + "return x;\n}\n"
@@ -487,6 +497,40 @@ int writes(int k, int *p, struct node *q, int (*fp)(int), struct ops s) {
     }
 }
 """
+
+
+# The goto-cleanup idiom with a label that only a goto reaches: ``fail:``
+# follows a ``return``, so its ``free(buf)`` is built from an anchor node.
+GOTO_ONLY_LABEL = """int cleanup(int n, const char *src) {
+  char *buf = malloc(n);
+  if (!buf) goto out;
+  if (n > 8) goto fail;
+  memcpy(buf, src, n);
+  return 0;
+fail:
+  free(buf);
+out:
+  return -1;
+}
+"""
+
+# Jumps across, into and out of other constructs.
+GOTO_TANGLES: list[str] = [
+    GOTO_ONLY_LABEL,
+    "int back(int n) {\n again: n--;\n if (n > 0) goto again;\n return n;\n}\n",
+    "int cross(int a) {\n if (a) goto B;\n A: a++;\n goto C;\n B: a--;\n goto A;\n C: return a;\n}\n",
+    "int leave(int a) {\n while (a) {\n if (a > 3) goto done;\n a--;\n }\n done: return a;\n}\n",
+    "int stacked(int a) {\n goto L2;\n L1: L2: a = a + 1;\n if (a < 9) goto L1;\n return a;\n}\n",
+    "int hop(int a) {\n switch (a) {\n case 1: goto two;\n case 2: two: a = 5; break;\n"
+    " default: goto end;\n }\n a = g(a);\n end: return a;\n}\n",
+    "void inside(int x) {\n goto in;\n while (x) {\n in: x--;\n }\n}\n",
+]
+
+# Cycles made only of plain statements: nothing leaves them.
+STATEMENT_CYCLES: list[str] = [
+    "void spin(void) {\n    L: goto L;\n}\n",
+    "int stuck(int a) {\n if (a) {\n L: a = a + 1;\n goto L;\n }\n return a;\n}\n",
+]
 
 
 def corpus_functions() -> list[SourceFunction]:

@@ -564,6 +564,24 @@ def test_evaluate_missing_prediction_is_data_error(tmp_path, dataset_path, capsy
     assert rc == 2
 
 
+def test_evaluate_baseline_missing_a_sampled_id_is_data_error(tmp_path, dataset_path, capsys):
+    pairs_path = tmp_path / "pairs.jsonl"
+    write_jsonl(pairs_path, [{"pair_id": "p", "vulnerable_id": "copy_bytes", "benign_id": "safe_add"}])
+    verdicts_path = tmp_path / "v.jsonl"
+    write_jsonl(
+        verdicts_path,
+        [
+            {"record": "verdict", "id": "copy_bytes", "label": "vulnerable"},
+            {"record": "verdict", "id": "safe_add", "label": "benign"},
+        ],
+    )
+    baseline_path = tmp_path / "baseline.jsonl"
+    write_jsonl(baseline_path, [{"record": "verdict", "id": "copy_bytes", "label": "benign"}])
+    argv = ["evaluate", "--predictions", str(verdicts_path), "--dataset", str(dataset_path)]
+    assert main(argv + ["--pairs", str(pairs_path), "--baseline", str(baseline_path)]) == 2
+    assert "baseline lacks a prediction for 'safe_add'" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("label", ["maybe", "Vulnerable", 1])
 def test_unknown_verdict_label_is_data_error(tmp_path, dataset_path, capsys, label):
     pairs_path = tmp_path / "pairs.jsonl"

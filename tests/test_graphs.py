@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import os
+import random
 import subprocess
 import sys
 from dataclasses import astuple
@@ -10,7 +11,17 @@ from pathlib import Path
 import pytest
 from pycparser import CParser
 
-from fixtures import COPY_BYTES, TYPE_PLUMBING, nested_ifs
+from fixtures import (
+    CONTROL_PLUMBING,
+    COPY_BYTES,
+    GOTO_ONLY_LABEL,
+    GOTO_TANGLES,
+    STATEMENT_CYCLES,
+    TYPE_PLUMBING,
+    nested_ifs,
+    out_edges,
+)
+from test_hostile_inputs import SHAPES
 
 from vulncontext.errors import SourceSyntaxError, SourceTooDeepError, UnsupportedLanguageError
 from vulncontext.graphs import (
@@ -19,13 +30,18 @@ from vulncontext.graphs import (
     count_ast_categories,
     parse,
 )
+from vulncontext.structure import generate_structural_context
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+
+import workloads  # noqa: E402
 
 
 def test_copy_bytes_cfg_has_labeled_branch_with_true_false_edges(copy_bytes):
     bundle = parse(copy_bytes)
     branches = [n for n in bundle.cfg.nodes if n.kind == "branch"]
     assert [b.label for b in branches] == ["if(len > max)"]
-    labels = sorted(e.label for e in bundle.cfg.out_edges(branches[0].id))
+    labels = sorted(e.label for e in out_edges(bundle.cfg)[branches[0].id])
     assert labels == ["False", "True"]
 
 
@@ -106,18 +122,19 @@ def test_cfg_invariants_across_corpus(corpus):
         assert len(cfg.entries()) == 1
         assert len(cfg.exits()) == 1
         entry = cfg.entries()[0]
+        adjacency = out_edges(cfg)
         reachable = {entry.id}
         frontier = [entry.id]
         while frontier:
             current = frontier.pop()
-            for e in cfg.out_edges(current):
+            for e in adjacency[current]:
                 if e.dst not in reachable:
                     reachable.add(e.dst)
                     frontier.append(e.dst)
         assert reachable == {n.id for n in cfg.nodes}, fn.id
         for node in cfg.nodes:
             if node.kind == "branch":
-                labels = [e.label for e in cfg.out_edges(node.id)]
+                labels = [e.label for e in adjacency[node.id]]
                 assert len(labels) >= 2, fn.id
                 assert set(labels) <= {"True", "False"}, fn.id
 
@@ -133,6 +150,7 @@ def test_straight_line_cfg_orders_statements():
     cfg = bundle.cfg
     # Every execution-ordered statement pair is connected by a directed path.
     order = [n.id for n in cfg.nodes if n.kind == "statement"]
+    adjacency = out_edges(cfg)
 
     def reaches(src, dst):
         seen, stack = set(), [src]
@@ -140,7 +158,7 @@ def test_straight_line_cfg_orders_statements():
             cur = stack.pop()
             if cur == dst:
                 return True
-            for e in cfg.out_edges(cur):
+            for e in adjacency[cur]:
                 if e.dst not in seen:
                     seen.add(e.dst)
                     stack.append(e.dst)
@@ -178,6 +196,49 @@ def test_cfg_statements_without_a_position_keep_their_lines():
         ("statement", "(struct s){k}", 5),
         ("return", "return 0", 6),
     ]
+
+
+def test_a_label_only_a_goto_reaches_keeps_the_statement_it_marks():
+    fn = SourceFunction(id="cleanup", code=GOTO_ONLY_LABEL)
+    cfg = parse(fn).cfg
+    by_label = {n.label: n for n in cfg.nodes}
+    # ``goto fail`` lands on the anchor, from which ``free(buf)`` is built;
+    # ``out:`` marks a reachable statement, so ``goto out`` lands on it.
+    assert [n.label for n in cfg.nodes[-3:]] == ["fail:", "call free", "return -1"]
+    goto_edges = {(e.src, e.dst) for e in cfg.edges}
+    assert (by_label["goto fail"].id, by_label["fail:"].id) in goto_edges
+    assert (by_label["goto out"].id, by_label["return -1"].id) in goto_edges
+    t_cfg = generate_structural_context(fn).t_cfg
+    assert "branches 2; calls 3." in t_cfg
+    assert "Path 2: Entry → call malloc → [False] if(!buf) → [True] if(n > 8) → call free → return -1 → Exit." in t_cfg
+    # A label there whose statement builds nothing gets one anchor.
+    cfg = parse(SourceFunction(id="f", code="void f(int a) { if (a) goto end; return; end: ; }")).cfg
+    assert [n.label for n in cfg.nodes].count("end:") == 1
+
+
+def test_every_plain_statement_has_exactly_one_seq_successor(corpus):
+    # ``filter_cfg`` folds statement chains along this one successor.
+    fns = list(corpus) + [shape.values[0] for shape in SHAPES]
+    fns += [SourceFunction(id=f"code{i}", code=code) for i, code in enumerate(
+        [CONTROL_PLUMBING, TYPE_PLUMBING, *GOTO_TANGLES, *STATEMENT_CYCLES]
+    )]
+    rng = random.Random("single-successor:small")
+    for serial, target in enumerate(workloads.small_sizes(rng, 20)):
+        fns += [SourceFunction(id=g.id, code=g.code) for g in workloads.small_pair(rng, serial, target)]
+    large = workloads.large_cycle(random.Random("single-successor:large"), 0)
+    fns += [SourceFunction(id=g.id, code=g.code) for g in large if g.statements <= 300]
+    statements = 0
+    for fn in fns:
+        try:
+            cfg = parse(fn).cfg
+        except SourceTooDeepError:
+            continue
+        adjacency = out_edges(cfg)
+        for node in cfg.nodes:
+            if node.kind == "statement":
+                statements += 1
+                assert [e.label for e in adjacency[node.id]] == ["seq"], (fn.id, node)
+    assert statements > 1000
 
 
 def test_dfg_anchoring_across_corpus(corpus):

@@ -1,14 +1,28 @@
 from __future__ import annotations
 
+import random
 import re
 import sys
 import time
+from collections import defaultdict
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fixtures import FIXTURE_CORPUS, GOLDEN_T_AST, GOLDEN_T_CFG, GOLDEN_T_DFG, TYPE_PLUMBING, dead_end
+from fixtures import (
+    CONTROL_PLUMBING,
+    FIXTURE_CORPUS,
+    GOLDEN_T_AST,
+    GOLDEN_T_CFG,
+    GOLDEN_T_DFG,
+    GOTO_TANGLES,
+    STATEMENT_CYCLES,
+    TYPE_PLUMBING,
+    dead_end,
+    out_edges,
+)
 
 from vulncontext.graphs import (
     AstNode,
@@ -26,6 +40,7 @@ from vulncontext.graphs import (
 from vulncontext import structure
 from vulncontext.structure import (
     LEVEL_BUDGETS,
+    RETAINED_CFG_KINDS,
     TEMPLATE_PATTERNS,
     Level,
     aggregate_ast,
@@ -39,6 +54,10 @@ from vulncontext.structure import (
     trace_chains,
 )
 
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+
+import workloads  # noqa: E402
+
 LEVELS = [Level.A, Level.B, Level.C]
 
 
@@ -48,12 +67,13 @@ LEVELS = [Level.A, Level.B, Level.C]
 def brute_force_paths(cfg: CfgGraph, entry_id: int, exit_ids: set[int]) -> list[tuple[int, ...]]:
     """Exhaustive DFS over node-id sequences; back edges at most once each."""
     paths: list[tuple[int, ...]] = []
+    adjacency = out_edges(cfg)
 
     def go(node, seq, used_back):
         if node in exit_ids:
             paths.append(tuple(seq))
             return
-        for i, e in enumerate(sorted(cfg.out_edges(node), key=lambda e: ({"True": 0, "False": 1}.get(e.label, 2), e.dst))):
+        for i, e in enumerate(sorted(adjacency[node], key=lambda e: ({"True": 0, "False": 1}.get(e.label, 2), e.dst))):
             key = (node, i)
             if e.back:
                 if key in used_back:
@@ -70,19 +90,52 @@ def brute_force_chains(dfg: DfgGraph, min_len: int = 3) -> list[tuple[int, ...]]
     """All simple paths from any param node to any sink node."""
     found: list[tuple[int, ...]] = []
     by_id = {n.id: n for n in dfg.nodes}
+    adjacency = out_edges(dfg)
 
     def go(node, seq):
         if by_id[node].kind == "sink":
             if len(seq) >= min_len:
                 found.append(tuple(seq))
             return
-        for e in sorted(dfg.out_edges(node), key=lambda e: e.dst):
+        for e in sorted(adjacency[node], key=lambda e: e.dst):
             if e.dst not in seq:
                 go(e.dst, seq + [e.dst])
 
     for p in dfg.params():
         go(p.id, [p.id])
     return found
+
+
+def splice_fold(cfg: CfgGraph) -> CfgGraph:
+    """Fold plain statements one node at a time, by id, splicing edge sets.
+
+    Each folded node's in-edges are joined to its out-edges; a joined edge
+    keeps the first branch label and is a back edge if either half was.  A
+    self-loop on the folded node vanishes with it.
+    """
+    ins: dict[int, set[tuple]] = defaultdict(set)
+    outs: dict[int, set[tuple]] = defaultdict(set)
+    for e in cfg.edges:
+        edge = (e.src, e.dst, e.label, e.back)
+        outs[e.src].add(edge)
+        ins[e.dst].add(edge)
+    for node_id in sorted(n.id for n in cfg.nodes if n.kind not in RETAINED_CFG_KINDS):
+        incoming = ins.pop(node_id, set())
+        outgoing = outs.pop(node_id, set())
+        for edge in incoming:
+            outs[edge[0]].discard(edge)
+        for edge in outgoing:
+            ins[edge[1]].discard(edge)
+        for src, _, in_label, in_back in incoming - outgoing:
+            for _, dst, out_label, out_back in outgoing - incoming:
+                label = in_label if in_label in ("True", "False") else out_label
+                edge = (src, dst, label, in_back or out_back)
+                outs[src].add(edge)
+                ins[dst].add(edge)
+    return CfgGraph(
+        nodes=[n for n in cfg.nodes if n.kind in RETAINED_CFG_KINDS],
+        edges=[CfgEdge(*edge) for edge in sorted(e for es in outs.values() for e in es)],
+    )
 
 
 # -- golden verbalization -----------------------------------------------------
@@ -302,14 +355,30 @@ def test_cfg_filter_preserves_invariants(corpus):
         assert len(filtered.entries()) == 1
         assert len(filtered.exits()) == 1
         entry = filtered.entries()[0]
+        adjacency = out_edges(filtered)
         seen, stack = {entry.id}, [entry.id]
         while stack:
             cur = stack.pop()
-            for e in filtered.out_edges(cur):
+            for e in adjacency[cur]:
                 if e.dst not in seen:
                     seen.add(e.dst)
                     stack.append(e.dst)
         assert seen == {n.id for n in filtered.nodes}, fn.id
+
+
+def test_filter_cfg_equals_the_splice_fold(corpus):
+    fns = list(corpus)
+    fns += [SourceFunction(id=f"code{i}", code=code) for i, code in enumerate(
+        [CONTROL_PLUMBING, TYPE_PLUMBING, *GOTO_TANGLES, *STATEMENT_CYCLES]
+    )]
+    rng = random.Random("splice:small")
+    for serial, target in enumerate(workloads.small_sizes(rng, 40)):
+        fns += [SourceFunction(id=g.id, code=g.code) for g in workloads.small_pair(rng, serial, target)]
+    for fn in fns:
+        cfg = parse(fn).cfg
+        expected = splice_fold(cfg)
+        folded = filter_cfg(cfg)
+        assert (folded.nodes, folded.edges) == (expected.nodes, expected.edges), fn.id
 
 
 # -- DFG filtering ------------------------------------------------------------
