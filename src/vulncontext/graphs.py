@@ -12,8 +12,9 @@ children lowered in its place.  The finished tree is numbered once, in
 preorder.  The control-flow graph allocates one node per statement or
 condition, with explicit join nodes after branch constructs and an implicit
 end-of-body node for functions whose control can fall off the closing brace.
-Only branch and loop nodes fork: every plain ``statement`` node has exactly
-one out-edge, labelled ``seq``.
+Every statement is built; what Entry cannot reach is pruned once, so a goto
+into dead code keeps its target.  Only branch and loop nodes fork: every plain
+``statement`` node has exactly one out-edge, labelled ``seq``.
 One walk over each statement finds the names it reads and writes and its
 first call; a statement that holds a call becomes a call node.  The data-flow
 graph links each definition to its subsequent uses (reaching definitions,
@@ -550,9 +551,9 @@ class _CfgBuilder:
     """Builds one statement-level CFG per function definition.
 
     Frontier discipline: ``self.frontier`` holds dangling (node, edge label)
-    pairs awaiting their successor.  An empty frontier means the current
-    program point is unreachable; unreachable statements produce no nodes
-    (labels are the exception since a goto may resurrect them).
+    pairs awaiting their successor.  An empty frontier only means nothing
+    flows in: the next statement is built all the same, without an in-edge,
+    and ``_prune_unreachable`` drops it unless a goto reaches it.
     """
 
     def build_function(self, fd: c_ast.FuncDef, start_id: int = 0):
@@ -572,20 +573,12 @@ class _CfgBuilder:
         self.exit_id = exit_node.id
         self.frontier = [(entry.id, "seq")]
 
-        body_items = fd.body.block_items or []
-        body_start_count = len(self.nodes)
-        for stmt in body_items:
+        body_start = self._next_id
+        for stmt in fd.body.block_items or []:
             self._build_stmt(stmt)
-        body_nonempty = len(self.nodes) > body_start_count
-
-        if self.frontier:
-            if body_nonempty:
-                # Implicit return point at the closing brace.
-                end = self._node("statement", "end", _line_of(fd))
-                self._wire(self.frontier, end.id)
-                self.frontier = [(end.id, "seq")]
-            self._wire(self.frontier, self.exit_id)
-            self.frontier = []
+        if self._next_id > body_start:
+            self._attach("statement", "end", _line_of(fd))  # implicit return at the closing brace
+        self._wire(self.frontier, self.exit_id)
 
         for goto_id, label_name in self.pending_gotos:
             target = self.labels.get(label_name, self.exit_id)
@@ -620,9 +613,6 @@ class _CfgBuilder:
     def _build_stmt(self, stmt) -> None:
         if stmt is None:
             return
-        if not self.frontier and not isinstance(stmt, c_ast.Label):
-            return  # unreachable
-
         if isinstance(stmt, c_ast.Compound):
             for item in stmt.block_items or []:
                 self._build_stmt(item)
@@ -668,11 +658,9 @@ class _CfgBuilder:
             self.pending_gotos.append((node.id, stmt.name))
             self.frontier = []
         elif isinstance(stmt, c_ast.Label):
-            # A goto jumps to the first node built here.  When only a goto
-            # reaches the label, an anchor goes first so the statement builds.
+            # A goto jumps to the first node built here; a statement that
+            # builds nothing leaves a ``name:`` anchor to jump to.
             first = self._next_id
-            if not self.frontier:
-                self._attach("statement", f"{stmt.name}:", _line_of(stmt))
             self._build_stmt(stmt.stmt)
             if self._next_id == first:  # the statement built nothing
                 self._attach("statement", f"{stmt.name}:", _line_of(stmt))
@@ -715,13 +703,9 @@ class _CfgBuilder:
         else:
             else_exits = [(branch.id, "False")]
 
-        merged = then_exits + else_exits
-        if merged:
-            join = self._node("statement", "join", _line_of(node))
-            self._wire(merged, join.id)
-            self.frontier = [(join.id, "seq")]
-        else:
-            self.frontier = []
+        join = self._node("statement", "join", _line_of(node))
+        self._wire(then_exits + else_exits, join.id)
+        self.frontier = [(join.id, "seq")]
 
     def _loop_body(self, stmt, cont: _ContinueCtx) -> list[tuple[int, str]]:
         """Build a loop body from the current frontier; return its breaks."""
@@ -772,15 +756,16 @@ class _CfgBuilder:
             self._wire(cont.deferred, loop.id, back=True)
 
         if node.cond is not None or not breaks:
-            # A condition-free loop with no break still gets a never-taken
-            # exit edge so the graph keeps a reachable exit node.
+            # A condition-free loop whose body holds no break, dead or live,
+            # gets a never-taken exit edge, so the function keeps an
+            # Entry-to-Exit path.
             self.frontier = [(loop.id, "False")] + breaks
         else:
             self.frontier = list(breaks)
 
     def _build_switch(self, node: c_ast.Switch) -> None:
         cond_text = _render(node.cond)
-        cases = _flatten_cases(node.stmt)
+        leading, cases = _flatten_cases(node.stmt)
         if not cases:
             return
 
@@ -800,6 +785,7 @@ class _CfgBuilder:
 
         breaks: list[tuple[int, str]] = []
         self.break_stack.append(breaks)
+        cases_start = self._next_id
         fallthrough: list[tuple[int, str]] = []
         incoming_used = False
         bi = 0
@@ -815,17 +801,25 @@ class _CfgBuilder:
             for s in stmts:
                 self._build_stmt(s)
             fallthrough = self.frontier
-        self.break_stack.pop()
 
-        exits = list(fallthrough) + breaks
+        exits = fallthrough + breaks
         if not incoming_used:
             exits.extend(incoming)
-        if exits:
-            join = self._node("statement", "join", _line_of(node))
-            self._wire(exits, join.id)
-            self.frontier = [(join.id, "seq")]
-        else:
-            self.frontier = []
+        join = self._node("statement", "join", _line_of(node))
+        self._wire(exits, join.id)
+
+        # Statements before the first case are built last, so the switch's
+        # first node stays its entry, where a goto to its label lands.  Only
+        # a goto enters them; they fall through to ``cases_start``, the first
+        # node the cases built, or the join when they built none.
+        self.frontier = []
+        breaks.clear()
+        for s in leading:
+            self._build_stmt(s)
+        self.break_stack.pop()
+        self._wire(self.frontier, cases_start)
+        self._wire(breaks, join.id)
+        self.frontier = [(join.id, "seq")]
 
     def _prune_unreachable(self, entry_id: int) -> None:
         reachable = {entry_id}
@@ -875,15 +869,19 @@ def _decl_type_names(decl: c_ast.Decl) -> list[str]:
     return list(node.names) if isinstance(node, c_ast.IdentifierType) else []
 
 
-def _flatten_cases(stmt) -> list[tuple[object, list]]:
-    """Flatten a switch body into (case expression | None for default, stmts).
+def _flatten_cases(stmt) -> tuple[list, list[tuple[object, list]]]:
+    """Split a switch body into the statements before its first case label and
+    its cases, each a (case expression | None for default, stmts) pair.
 
-    pycparser moves every statement after a label into its case; one before
-    the first label is unreachable and dropped.
+    pycparser moves every statement after a case label into its case, so
+    every other item precedes the first label.
     """
     items = stmt.block_items or [] if isinstance(stmt, c_ast.Compound) else [stmt]
+    leading: list = []
     cases: list[tuple[object, list]] = []
     for item in items:
+        if not isinstance(item, (c_ast.Case, c_ast.Default)):
+            leading.append(item)
         current = item
         while isinstance(current, (c_ast.Case, c_ast.Default)):
             expr = current.expr if isinstance(current, c_ast.Case) else None
@@ -894,7 +892,7 @@ def _flatten_cases(stmt) -> list[tuple[object, list]]:
                 stmts = []
             cases.append((expr, stmts))
             current = nested
-    return cases
+    return leading, cases
 
 
 # -- DFG construction ---------------------------------------------------------

@@ -500,7 +500,7 @@ int writes(int k, int *p, struct node *q, int (*fp)(int), struct ops s) {
 
 
 # The goto-cleanup idiom with a label that only a goto reaches: ``fail:``
-# follows a ``return``, so its ``free(buf)`` is built from an anchor node.
+# follows a ``return``, so only ``goto fail`` enters its ``free(buf)``.
 GOTO_ONLY_LABEL = """int cleanup(int n, const char *src) {
   char *buf = malloc(n);
   if (!buf) goto out;

@@ -202,11 +202,10 @@ def test_a_label_only_a_goto_reaches_keeps_the_statement_it_marks():
     fn = SourceFunction(id="cleanup", code=GOTO_ONLY_LABEL)
     cfg = parse(fn).cfg
     by_label = {n.label: n for n in cfg.nodes}
-    # ``goto fail`` lands on the anchor, from which ``free(buf)`` is built;
-    # ``out:`` marks a reachable statement, so ``goto out`` lands on it.
-    assert [n.label for n in cfg.nodes[-3:]] == ["fail:", "call free", "return -1"]
+    # Each goto lands on the first statement its label marks.
+    assert [n.label for n in cfg.nodes[-2:]] == ["call free", "return -1"]
     goto_edges = {(e.src, e.dst) for e in cfg.edges}
-    assert (by_label["goto fail"].id, by_label["fail:"].id) in goto_edges
+    assert (by_label["goto fail"].id, by_label["call free"].id) in goto_edges
     assert (by_label["goto out"].id, by_label["return -1"].id) in goto_edges
     t_cfg = generate_structural_context(fn).t_cfg
     assert "branches 2; calls 3." in t_cfg
@@ -214,6 +213,31 @@ def test_a_label_only_a_goto_reaches_keeps_the_statement_it_marks():
     # A label there whose statement builds nothing gets one anchor.
     cfg = parse(SourceFunction(id="f", code="void f(int a) { if (a) goto end; return; end: ; }")).cfg
     assert [n.label for n in cfg.nodes].count("end:") == 1
+
+
+def test_a_goto_into_a_loop_keeps_the_loop():
+    fn = SourceFunction(id="inside", code="void inside(int x) { goto in; while (x) { in: x--; } }")
+    cfg = parse(fn).cfg
+    by_label = {n.label: n for n in cfg.nodes}
+    assert {"while(x)", "x--"} <= by_label.keys()
+    assert (by_label["goto in"].id, by_label["x--"].id) in {(e.src, e.dst) for e in cfg.edges}
+    t_cfg = generate_structural_context(fn).t_cfg
+    assert "Path 1: Entry → [True] while(x) → [False] while(x) → Exit." in t_cfg
+    assert "Path 2: Entry → [False] while(x) → Exit." in t_cfg
+
+
+def test_a_label_before_the_first_case_keeps_its_statements():
+    code = "int f(int a){ goto L; switch(a){ L: a++; case 1: a--; } return a; }"
+    cfg = parse(SourceFunction(id="f", code=code)).cfg
+    label = {n.id: n.label for n in cfg.nodes}
+    succ = {label[e.src]: label[e.dst] for e in cfg.edges}
+    assert [succ["goto L"], succ["a++"], succ["a--"], succ["join"]] == ["a++", "a--", "join", "return a"]
+    # A goto to a label on the switch still enters it where the switch does.
+    code = "int f(int a){ L: switch(a){ a = 3; default: a++; } if (a < 3) goto L; return a; }"
+    cfg = parse(SourceFunction(id="f", code=code)).cfg
+    label = {n.id: n.label for n in cfg.nodes}
+    assert "a = 3" not in label.values()
+    assert ("goto L", "a++") in {(label[e.src], label[e.dst]) for e in cfg.edges}
 
 
 def test_every_plain_statement_has_exactly_one_seq_successor(corpus):
@@ -234,7 +258,16 @@ def test_every_plain_statement_has_exactly_one_seq_successor(corpus):
         except SourceTooDeepError:
             continue
         adjacency = out_edges(cfg)
+        # ``_prune_unreachable`` keeps only what an Entry reaches, and Exit.
+        stack = [n.id for n in cfg.entries()]
+        reached = set(stack)
+        while stack:
+            for e in adjacency[stack.pop()]:
+                if e.dst not in reached:
+                    reached.add(e.dst)
+                    stack.append(e.dst)
         for node in cfg.nodes:
+            assert node.id in reached or node.kind == "exit", (fn.id, node)
             if node.kind == "statement":
                 statements += 1
                 assert [e.label for e in adjacency[node.id]] == ["seq"], (fn.id, node)
