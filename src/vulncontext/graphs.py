@@ -18,7 +18,11 @@ into dead code keeps its target.  Only branch and loop nodes fork: every plain
 One walk over each statement finds the names it reads and writes and its
 first call; a statement that holds a call becomes a call node.  The data-flow
 graph links each definition to its subsequent uses (reaching definitions,
-intraprocedural, by variable name).
+intraprocedural, by variable name).  Its sets of definitions are bitsets, and
+no definition's list of reached uses is ever built: a sweep over each
+variable's uses finds the steps that add nodes and edges, so the cost follows
+the number of DFG edges rather than the number of (definition, reached use)
+pairs.
 
 Counting rules are fixed module constants, calibrated so that a bounded-copy
 function with three parameters, one guarded length check, and one memcpy call
@@ -912,21 +916,40 @@ def _build_dfg(
     on.  A use inside a defining statement collapses onto that statement's
     definition node, which is how assignments relabel a flow from one
     variable to the next.
+
+    No site's list of reached uses is built.  Walking those lists site by
+    site adds to the graph only at one step per edge: from a site to its
+    first reached use, and between two consecutive reached uses at the lowest
+    site whose list holds that pair.  A site's own node is named at its first
+    step, and a use's nodes at the step of the lowest site reaching it.  A
+    backward and a forward sweep over each variable's uses find those steps,
+    and replaying them in site order gives the same nodes and edges in the
+    same order.  The cost follows the number of DFG edges, not the number of
+    (site, reached use) pairs, except that a site is renamed when a use
+    splits the group of sites it shares its last use with, or merges that
+    group into a larger one.
     """
     entry = nodes[0]
     by_id = {n.id: n for n in nodes}
     param_lines = dict(params)
 
-    # Definition sites (var, cfg node id), indexed by position: parameters
-    # sit on entry, then each node's definitions in statement order.
-    sites = [(name, entry.id) for name, _line in params]
+    # Definition sites, indexed by position: parameters sit on entry, then
+    # each node's definitions in statement order.  A set of sites is an int
+    # whose bit i is site i: each variable has the mask of its sites, and
+    # each defining node generates the run of its own sites.
+    site_var = [name for name, _line in params]
+    site_nid = [entry.id] * len(site_var)
+    runs: dict[int, tuple[int, int]] = {}
     for n in nodes:
-        sites.extend((var, n.id) for var in sorted(refs[n.id].defs))
-    sites_by_var: dict[str, set[int]] = {}
-    gen: dict[int, set[int]] = {nid: set() for nid in by_id}
-    for sid, (var, nid) in enumerate(sites):
-        sites_by_var.setdefault(var, set()).add(sid)
-        gen[nid].add(sid)
+        first = 0 if n is entry else len(site_var)  # entry's run holds the parameters
+        defs = sorted(refs[n.id].defs)
+        site_var += defs
+        site_nid += [n.id] * len(defs)
+        if len(site_var) > first:
+            runs[n.id] = (first, len(site_var) - first)
+    masks: dict[str, int] = {}
+    for sid, var in enumerate(site_var):
+        masks[var] = masks.get(var, 0) | 1 << sid
 
     preds: dict[int, list[int]] = {nid: [] for nid in by_id}
     succs: dict[int, list[int]] = {nid: [] for nid in by_id}
@@ -934,34 +957,152 @@ def _build_dfg(
         preds[e.dst].append(e.src)
         succs[e.src].append(e.dst)
 
+    out = dict.fromkeys(by_id, 0)
+    for nid, (first, count) in runs.items():
+        out[nid] = ((1 << count) - 1) << first
+
+    def reach_in(nid: int) -> int:
+        ps = preds[nid]
+        reach = out[ps[0]] if ps else 0
+        for p in ps[1:]:
+            reach |= out[p]
+        return reach
+
     # A node's definitions kill every other site of the variables it defines.
     # The lowest id goes first: ids follow statement order, so what a back
     # edge brings to a loop joins the sweep under way instead of starting one.
-    in_sets: dict[int, set[int]] = {nid: set() for nid in by_id}
-    out_sets = {nid: set(g) for nid, g in gen.items()}
+    # Masks span the whole function, so they are only ever and-ed with a
+    # reaching set, which costs the width of the set.
     worklist = list(by_id)  # ascending, so already a heap
     queued = set(by_id)
     while worklist:
         nid = heapq.heappop(worklist)
         queued.discard(nid)
-        new_in: set[int] = set()
-        for p in preds[nid]:
-            new_in |= out_sets[p]
-        new_out = new_in.difference(*[sites_by_var[var] for var in refs[nid].defs]) | gen[nid]
-        if new_in != in_sets[nid] or new_out != out_sets[nid]:
-            in_sets[nid] = new_in
-            out_sets[nid] = new_out
+        reach = reach_in(nid)
+        run = runs.get(nid)
+        if run is not None:
+            killed = 0
+            for var in refs[nid].defs:
+                killed |= reach & masks[var]
+            first, count = run
+            reach = reach ^ killed | ((1 << count) - 1) << first
+        if reach != out[nid]:
+            out[nid] = reach
             for s in succs[nid]:
                 if s not in queued:
                     queued.add(s)
                     heapq.heappush(worklist, s)
 
-    # Each site's reached uses, in statement order.
-    reached: list[list[int]] = [[] for _ in sites]
+    # Each variable's uses, in statement order, and the sites reaching each
+    # using node.  The out-sets are not needed past this point.
+    uses_by_var: dict[str, list[int]] = {}
+    reaching: dict[int, int] = {}
     for nid in by_id:
         for var in refs[nid].uses:
-            for sid in in_sets[nid].intersection(sites_by_var.get(var, ())):
-                reached[sid].append(nid)
+            if var in masks:
+                uses_by_var.setdefault(var, []).append(nid)
+                if nid not in reaching:
+                    reaching[nid] = reach_in(nid)
+    del out
+
+    # Steps are edges to a use: from a site's own node to its first reached
+    # use, or between consecutive reached uses at the lowest site that has
+    # them.  Each step is packed into one int, so that sorting orders the
+    # steps by (site, use node); the low bits hold the previous use plus one,
+    # 0 for an edge from the site's own node.
+    width = (max(by_id) + 1).bit_length()
+    node_mask = (1 << width) - 1
+    steps: list[int] = []
+
+    # Sites with a use still ahead form groups that share their last reached
+    # use.  Each such site names its group, so a use finds the groups it
+    # carries on through its own sites.  A group that moves on whole keeps
+    # its name; where a use splits a group or merges several, the smaller
+    # side is renamed.  Variables have disjoint sites, so they share these.
+    owner: dict[int, int] = {}
+    live: dict[int, int] = {}  # group -> its sites
+    last: dict[int, int] = {}  # group -> their last reached use
+    next_group = 0
+
+    def rename(sites: int, group: int) -> None:
+        while sites:
+            bit = sites & -sites
+            owner[bit.bit_length() - 1] = group
+            sites ^= bit
+
+    for var, uses in uses_by_var.items():
+        mask = masks[var]
+        # Backward: the sites whose last reached use each use is, shifted
+        # down to the lowest of them, so that no stored set is wider than
+        # its span.
+        ends: dict[int, tuple[int, int]] = {}
+        later = 0
+        for nid in reversed(uses):
+            reach = reaching[nid] & mask
+            last_here = reach ^ (reach & later)
+            if last_here:
+                low = (last_here & -last_here).bit_length() - 1
+                ends[nid] = (low, last_here >> low)
+                later |= last_here
+        # Forward: the sites of a use not yet ``seen`` reach their first use
+        # there; the others carry on from their group's last use.
+        seen = 0
+        for nid in uses:
+            reach = reaching[nid] & mask
+            if not reach:
+                continue
+            carried = reach & seen
+            loose = reach ^ carried
+            if loose:
+                seen |= loose
+                fresh = loose
+                while fresh:
+                    bit = fresh & -fresh
+                    steps.append(((bit.bit_length() - 1) << width | nid) << width)
+                    fresh ^= bit
+            moved = []
+            while carried:
+                sid = (carried & -carried).bit_length() - 1
+                group = owner[sid]
+                sites = live[group]
+                hit = sites & carried
+                carried ^= hit
+                steps.append((sid << width | nid) << width | last[group] + 1)
+                rest = sites ^ hit
+                if not rest:
+                    moved.append(group)
+                elif hit.bit_count() <= rest.bit_count():
+                    live[group] = rest
+                    loose |= hit
+                else:  # the smaller rest stays behind under a new name
+                    live[group] = hit
+                    moved.append(group)
+                    live[next_group] = rest
+                    last[next_group] = last[group]
+                    rename(rest, next_group)
+                    next_group += 1
+            # Every site reaching this use now has it as its last use, and
+            # those reaching no later use leave the groups.
+            end = ends.get(nid)
+            keep = reach ^ (end[1] << end[0]) if end else reach
+            if moved:
+                home = max(moved, key=lambda g: live[g].bit_count()) if len(moved) > 1 else moved[0]
+                for group in moved:
+                    if group != home:
+                        rename(live.pop(group) & keep, home)
+                        del last[group]
+            elif keep:
+                home = next_group
+                next_group += 1
+            else:
+                continue
+            if keep:
+                rename(loose & keep, home)
+                live[home] = keep
+                last[home] = nid
+            else:
+                del live[home], last[home]
+    steps.sort()
 
     # DFG nodes are named as edges first demand them.
     dfg_ids: dict[tuple[str, str, int], int] = {}
@@ -976,26 +1117,31 @@ def _build_dfg(
 
     targets: dict[tuple[int, str], list[int]] = {}
     edge_set: set[tuple[int, int]] = set()
-    for (var, def_nid), uses in zip(sites, reached):
-        if not uses:
-            continue
-        if def_nid == entry.id:
-            prev = dfg_id(var, "param", param_lines[var], f"param:{var}", -1)
-        else:
-            prev = dfg_id(var, "def", by_id[def_nid].line, f"def:{var}", def_nid)
-        for nid in uses:
-            to = targets.get((nid, var))
-            if to is None:
-                cfg_node = by_id[nid]
-                defs = sorted(refs[nid].defs)
-                if defs:
-                    to = [dfg_id(w, "def", cfg_node.line, f"def:{w}", nid) for w in defs]
-                else:
-                    kind = "sink" if cfg_node.kind in ("call", "return") else "use"
-                    to = [dfg_id(var, kind, cfg_node.line, cfg_node.label, nid)]
-                targets[(nid, var)] = to
-            for dst in to:
-                if dst != prev and (prev, dst) not in edge_set:
-                    edge_set.add((prev, dst))
-                    dfg.edges.append(DfgEdge(prev, dst))
-            prev = to[0]
+    for packed in steps:
+        prev = (packed & node_mask) - 1
+        packed >>= width
+        nid = packed & node_mask
+        sid = packed >> width
+        var = site_var[sid]
+        if prev < 0:  # a site's first step: its own node comes first
+            def_nid = site_nid[sid]
+            if def_nid == entry.id:
+                src = dfg_id(var, "param", param_lines[var], f"param:{var}", -1)
+            else:
+                src = dfg_id(var, "def", by_id[def_nid].line, f"def:{var}", def_nid)
+        to = targets.get((nid, var))
+        if to is None:  # the step of the lowest site reaching this use
+            cfg_node = by_id[nid]
+            defs = sorted(refs[nid].defs)
+            if defs:
+                to = [dfg_id(w, "def", cfg_node.line, f"def:{w}", nid) for w in defs]
+            else:
+                kind = "sink" if cfg_node.kind in ("call", "return") else "use"
+                to = [dfg_id(var, kind, cfg_node.line, cfg_node.label, nid)]
+            targets[(nid, var)] = to
+        if prev >= 0:
+            src = targets[(prev, var)][0]
+        for dst in to:
+            if dst != src and (src, dst) not in edge_set:
+                edge_set.add((src, dst))
+                dfg.edges.append(DfgEdge(src, dst))

@@ -1,10 +1,16 @@
-"""Shared test fixtures: C sources, toy weakness corpus, scripted responses."""
+"""Shared test fixtures: C sources, toy weakness corpus, scripted responses,
+a reference DFG builder and a generator of C functions."""
 
 from __future__ import annotations
 
+import heapq
 from collections import defaultdict
+from unittest import mock
 
-from vulncontext.graphs import SourceFunction
+from hypothesis import strategies as st
+
+from vulncontext import graphs
+from vulncontext.graphs import CfgEdge, CfgNode, DfgEdge, DfgGraph, DfgNode, SourceFunction, _Refs
 from vulncontext.knowledge import KnowledgeEntry
 
 COPY_BYTES = """void copy_bytes(char *dst, const char *src, size_t len) {
@@ -531,6 +537,230 @@ STATEMENT_CYCLES: list[str] = [
     "void spin(void) {\n    L: goto L;\n}\n",
     "int stuck(int a) {\n if (a) {\n L: a = a + 1;\n goto L;\n }\n return a;\n}\n",
 ]
+
+
+# -- reference data flow --------------------------------------------------------
+
+# The data-flow builder in its plainest form: it lists every use each
+# definition site reaches, which is simple, and quadratic in memory on code
+# that redefines a variable under many conditions.  ``graphs._build_dfg``
+# must give the same nodes and edges, in the same order.
+def reference_dfg(
+    nodes: list[CfgNode],
+    edges: list[CfgEdge],
+    refs: dict[int, _Refs],
+    params: list[tuple[str, int]],
+    dfg: DfgGraph,
+) -> None:
+    """Reaching-definitions data flow over one function's CFG.
+
+    Each definition site links its reached uses in statement order, so a
+    value's journey reads as a chain: definition, first use, next use, and so
+    on.  A use inside a defining statement collapses onto that statement's
+    definition node, which is how assignments relabel a flow from one
+    variable to the next.
+    """
+    entry = nodes[0]
+    by_id = {n.id: n for n in nodes}
+    param_lines = dict(params)
+
+    # Definition sites (var, cfg node id), indexed by position: parameters
+    # sit on entry, then each node's definitions in statement order.
+    sites = [(name, entry.id) for name, _line in params]
+    for n in nodes:
+        sites.extend((var, n.id) for var in sorted(refs[n.id].defs))
+    sites_by_var: dict[str, set[int]] = {}
+    gen: dict[int, set[int]] = {nid: set() for nid in by_id}
+    for sid, (var, nid) in enumerate(sites):
+        sites_by_var.setdefault(var, set()).add(sid)
+        gen[nid].add(sid)
+
+    preds: dict[int, list[int]] = {nid: [] for nid in by_id}
+    succs: dict[int, list[int]] = {nid: [] for nid in by_id}
+    for e in edges:
+        preds[e.dst].append(e.src)
+        succs[e.src].append(e.dst)
+
+    # A node's definitions kill every other site of the variables it defines.
+    # The lowest id goes first: ids follow statement order, so what a back
+    # edge brings to a loop joins the sweep under way instead of starting one.
+    in_sets: dict[int, set[int]] = {nid: set() for nid in by_id}
+    out_sets = {nid: set(g) for nid, g in gen.items()}
+    worklist = list(by_id)  # ascending, so already a heap
+    queued = set(by_id)
+    while worklist:
+        nid = heapq.heappop(worklist)
+        queued.discard(nid)
+        new_in: set[int] = set()
+        for p in preds[nid]:
+            new_in |= out_sets[p]
+        new_out = new_in.difference(*[sites_by_var[var] for var in refs[nid].defs]) | gen[nid]
+        if new_in != in_sets[nid] or new_out != out_sets[nid]:
+            in_sets[nid] = new_in
+            out_sets[nid] = new_out
+            for s in succs[nid]:
+                if s not in queued:
+                    queued.add(s)
+                    heapq.heappush(worklist, s)
+
+    # Each site's reached uses, in statement order.
+    reached: list[list[int]] = [[] for _ in sites]
+    for nid in by_id:
+        for var in refs[nid].uses:
+            for sid in in_sets[nid].intersection(sites_by_var.get(var, ())):
+                reached[sid].append(nid)
+
+    # DFG nodes are named as edges first demand them.
+    dfg_ids: dict[tuple[str, str, int], int] = {}
+
+    def dfg_id(var: str, kind: str, line: int, label: str, stmt: int) -> int:
+        key = (var, kind, stmt)
+        i = dfg_ids.get(key)
+        if i is None:
+            i = dfg_ids[key] = len(dfg.nodes)
+            dfg.nodes.append(DfgNode(i, var, kind, line, label, stmt, entry.fn))
+        return i
+
+    targets: dict[tuple[int, str], list[int]] = {}
+    edge_set: set[tuple[int, int]] = set()
+    for (var, def_nid), uses in zip(sites, reached):
+        if not uses:
+            continue
+        if def_nid == entry.id:
+            prev = dfg_id(var, "param", param_lines[var], f"param:{var}", -1)
+        else:
+            prev = dfg_id(var, "def", by_id[def_nid].line, f"def:{var}", def_nid)
+        for nid in uses:
+            to = targets.get((nid, var))
+            if to is None:
+                cfg_node = by_id[nid]
+                defs = sorted(refs[nid].defs)
+                if defs:
+                    to = [dfg_id(w, "def", cfg_node.line, f"def:{w}", nid) for w in defs]
+                else:
+                    kind = "sink" if cfg_node.kind in ("call", "return") else "use"
+                    to = [dfg_id(var, kind, cfg_node.line, cfg_node.label, nid)]
+                targets[(nid, var)] = to
+            for dst in to:
+                if dst != prev and (prev, dst) not in edge_set:
+                    edge_set.add((prev, dst))
+                    dfg.edges.append(DfgEdge(prev, dst))
+            prev = to[0]
+
+
+def reference_parse(fn: SourceFunction) -> graphs.GraphBundle:
+    """``graphs.parse`` with the data-flow graph built by ``reference_dfg``."""
+    with mock.patch.object(graphs, "_build_dfg", reference_dfg):
+        return graphs.parse(fn)
+
+
+# -- generated C functions --------------------------------------------------------
+
+GEN_VARS = ("a", "b", "c", "d")
+GEN_LABELS = ("L0", "L1", "L2")
+
+
+@st.composite
+def c_functions(draw, max_depth: int = 3) -> SourceFunction:
+    """A C function over 3-4 shared ints and a struct, drawn by hypothesis.
+
+    Bodies nest if/else, while, do-while, for, and switch with fallthrough
+    and default, up to ``max_depth`` deep, around assignments, compound
+    assignments, increments, calls that take ``&x``, and member writes.
+    ``break`` and ``continue`` appear inside loops and switches, and gotos
+    jump to labels placed anywhere, before or after them, inside loops or
+    not; a label no statement took is placed at the end.
+    """
+    names = GEN_VARS[: draw(st.integers(3, 4))]
+    unplaced = list(GEN_LABELS)
+
+    def var() -> str:
+        return draw(st.sampled_from(names))
+
+    def expr() -> str:
+        form = draw(st.integers(0, 7))
+        if form == 0:
+            return str(draw(st.integers(0, 9)))
+        if form == 1:
+            return f"{var()} + {var()}"
+        if form == 2:
+            return f"{var()} * {draw(st.integers(2, 5))}"
+        if form == 3:
+            return "s.n"
+        if form == 4:
+            return f"g({var()}, &{var()})"
+        if form == 5:
+            return f"q[{var()}]"
+        if form == 6:
+            return f"{var()}++"
+        return var()
+
+    def cond() -> str:
+        return f"{var()} {draw(st.sampled_from(('<', '>', '!=')))} {expr()}"
+
+    def simple(loop: bool, switch: bool) -> str:
+        form = draw(st.integers(0, 12))
+        if form <= 2:
+            return f"{var()} = {expr()};"
+        if form == 3:
+            return f"{var()} {draw(st.sampled_from(('+=', '-=', '*=', '|=')))} {expr()};"
+        if form == 4:
+            return draw(st.sampled_from((f"{var()}++;", f"--{var()};")))
+        if form == 5:
+            return f"s.n = {expr()};"
+        if form == 6:
+            return f"h(&{var()}, {var()});"
+        if form == 7:
+            return f"{var()} = f({expr()});"
+        if form == 8:
+            return f"goto {draw(st.sampled_from(GEN_LABELS))};"
+        if form == 9 and (loop or switch):
+            return "break;"
+        if form == 10 and loop:
+            return "continue;"
+        if form == 11:
+            return f"return {expr()};"
+        return f"{var()} = {var()};"
+
+    def block(depth: int, loop: bool, switch: bool) -> str:
+        count = draw(st.integers(1, 3))
+        return " ".join(statement(depth, loop, switch) for _ in range(count))
+
+    def statement(depth: int, loop: bool, switch: bool) -> str:
+        form = draw(st.integers(0, 9)) if depth > 0 else 0
+        if form == 1:
+            text = f"if ({cond()}) {{ {block(depth - 1, loop, switch)} }}"
+            if draw(st.booleans()):
+                text += f" else {{ {block(depth - 1, loop, switch)} }}"
+        elif form == 2:
+            text = f"while ({cond()}) {{ {block(depth - 1, True, switch)} }}"
+        elif form == 3:
+            text = f"do {{ {block(depth - 1, True, switch)} }} while ({cond()});"
+        elif form == 4:
+            v = var()
+            text = f"for ({v} = 0; {v} < {expr()}; {v}++) {{ {block(depth - 1, True, switch)} }}"
+        elif form == 5:
+            arms = []
+            for k in range(draw(st.integers(1, 3))):
+                arm = f"case {k}: {block(depth - 1, loop, True)}"
+                arms.append(arm + (" break;" if draw(st.booleans()) else ""))
+            if draw(st.booleans()):
+                arms.append(f"default: {block(depth - 1, loop, True)}")
+            text = f"switch ({var()}) {{ {' '.join(arms)} }}"
+        else:
+            text = simple(loop, switch)
+        if unplaced and draw(st.integers(0, 5)) == 0:
+            text = f"{unplaced.pop(draw(st.integers(0, len(unplaced) - 1)))}: {text}"
+        return text
+
+    body = block(max_depth, False, False)
+    tail = " ".join(f"{label}: ;" for label in unplaced)
+    code = (
+        "int gen(int a, int b, const int *q) {\n"
+        "    int c = 0;\n    int d = 1;\n    struct box s;\n"
+        f"    {body}\n    {tail}\n    return a;\n}}\n"
+    )
+    return SourceFunction(id="gen", code=code)
 
 
 def corpus_functions() -> list[SourceFunction]:

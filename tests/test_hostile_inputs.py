@@ -50,9 +50,9 @@ def _parameters(count: int) -> SourceFunction:
     return SourceFunction(id=f"params-{count}", code=f"int many({params}) {{\n    return p0 + p{count - 1};\n}}\n")
 
 
-def _calls(count: int) -> SourceFunction:
-    generated = workloads.large_function(random.Random(0), 0, "calls", count, "benign")
-    return SourceFunction(id=f"calls-{count}", code=generated.code)
+def _large(shape: str, size: int) -> SourceFunction:
+    generated = workloads.large_function(random.Random(0), 0, shape, size, "benign")
+    return SourceFunction(id=f"{shape}-{size}", code=generated.code)
 
 
 def _innermost(tb, frames: int):
@@ -67,6 +67,12 @@ def _records(path: Path) -> list[dict]:
     return [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
 
 
+_PATH_RECURSION = pytest.mark.xfail(
+    raises=RecursionError,
+    strict=True,
+    reason="path enumeration recurses once per CFG node until it walks an explicit stack (ROADMAP item 2 (c))",
+)
+
 # Shape, and the milliseconds ``generate_structural_context`` took for it on a
 # 2-vCPU host (rounded up; at least 1).
 SHAPES = [
@@ -78,17 +84,9 @@ SHAPES = [
     pytest.param(_switch(200), 90, id="switch-200"),
     pytest.param(_parameters(50), 5, id="parameters-50"),
     pytest.param(SourceFunction(id="empty", code="void nothing(void) {}\n"), 1, id="empty-body"),
-    pytest.param(
-        _calls(1200),
-        220,
-        id="calls-1200",
-        marks=pytest.mark.xfail(
-            raises=RecursionError,
-            strict=True,
-            reason="path enumeration recurses once per CFG node until it walks an explicit stack "
-            "(ROADMAP item 2 (c))",
-        ),
-    ),
+    pytest.param(_large("calls", 1200), 220, id="calls-1200", marks=_PATH_RECURSION),
+    # 1500 ifs redefining one variable: each definition reaches every later use.
+    pytest.param(_large("ifs", 3000), 160, id="ifs-3000", marks=_PATH_RECURSION),
 ]
 
 
