@@ -13,8 +13,6 @@ from .errors import (  # noqa: F401
     CorpusFormatError,
     DatasetFormatError,
     EmptyCorpusError,
-    EncoderMismatchError,
-    EncoderUnavailableError,
     LlmError,
     MissingPredictionError,
     QueryParseError,

@@ -21,8 +21,6 @@ from .errors import (
     CorpusFormatError,
     DatasetFormatError,
     EmptyCorpusError,
-    EncoderMismatchError,
-    EncoderUnavailableError,
     LlmError,
     MissingPredictionError,
     SourceSyntaxError,
@@ -51,13 +49,7 @@ _DATA_ERRORS = (
     ConfigError,
     MissingPredictionError,
 )
-_BACKEND_ERRORS = (
-    LlmError,
-    TriageError,
-    EncoderUnavailableError,
-    EncoderMismatchError,
-    EmptyCorpusError,
-)
+_BACKEND_ERRORS = (LlmError, TriageError, EmptyCorpusError)
 
 
 class _Parser(argparse.ArgumentParser):

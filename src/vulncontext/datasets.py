@@ -154,12 +154,18 @@ def parse_verdicts(data: bytes, path: str | Path) -> dict[str, Verdict]:
     for record in _parse_jsonl(data, path):
         if record.get("record") not in (None, "verdict"):
             continue
+        degraded = record.get("degraded_paths", [])
+        if not (isinstance(degraded, list) and set(map(type, degraded)) <= {str}):
+            raise DatasetFormatError(f"{path}: verdict degraded_paths must be a list of strings")
+        parse_failure = record.get("parse_failure", False)
+        if type(parse_failure) is not bool:
+            raise DatasetFormatError(f"{path}: verdict parse_failure must be true or false")
         try:
             verdict = Verdict(
                 id=str(record["id"]),
                 label=record.get("label"),
-                degraded_paths=frozenset(record.get("degraded_paths", ())),
-                parse_failure=bool(record.get("parse_failure", False)),
+                degraded_paths=frozenset(degraded),
+                parse_failure=parse_failure,
                 prompt_hashes=dict(record.get("prompt_hashes", {})),
                 error=record.get("error"),
             )

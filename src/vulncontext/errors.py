@@ -32,14 +32,6 @@ class CorpusFormatError(VulnContextError):
     """The knowledge corpus export could not be parsed."""
 
 
-class EncoderUnavailableError(VulnContextError):
-    """The configured text encoder cannot be reached and no cached vectors exist."""
-
-
-class EncoderMismatchError(VulnContextError):
-    """A loaded index was produced by a different encoder than the one configured."""
-
-
 class EmptyCorpusError(VulnContextError):
     """Retrieval was attempted against an index with no entries."""
 

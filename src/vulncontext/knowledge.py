@@ -27,7 +27,9 @@ dense matrix ``<f8``, per-entry ``offsets`` ``<i8`` of length n + 1, and the
 ``term_ids`` ``<i4`` and ``weights`` ``<f8`` of every entry's terms in their
 original order.  The index holds these same four arrays in memory, so saving
 writes them as they are and loading keeps the blocks it reads; a file of any
-other format version is refused.
+other format version is refused.  The header's encoder spec (name, dim, seed)
+fixes the encoder completely: loading builds it from the spec, and a header
+whose encoder name or fingerprint disagrees with that encoder is damaged.
 """
 
 from __future__ import annotations
@@ -47,12 +49,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    CorpusFormatError,
-    EmptyCorpusError,
-    EncoderMismatchError,
-    QueryParseError,
-)
+from .errors import CorpusFormatError, EmptyCorpusError, QueryParseError
 from .graphs import SourceFunction
 from .llm import ChatClient, ChatRequest
 from .prompts import fill_query_prompt
@@ -396,6 +393,8 @@ class KnowledgeIndex:
     The sparse side is the index file's arrays: entry i holds the terms
     ``terms[term_ids[j]]`` with weights ``weights[j]`` for j in
     ``offsets[i]:offsets[i + 1]``, in the order the encoder produced them.
+    ``encoder`` built the passages and encodes every query; the index file
+    stores its spec and fingerprint, and ``load`` rebuilds it from them.
     """
 
     entries: list[KnowledgeEntry]
@@ -405,7 +404,6 @@ class KnowledgeIndex:
     term_ids: np.ndarray  # <i4
     weights: np.ndarray  # <f8, at the positions of term_ids
     encoder: ReferenceEncoder
-    fingerprint: str = ""
     # Term-major postings: the entries holding term id t are
     # _posting_entries[_posting_offsets[t]:_posting_offsets[t + 1]] in
     # ascending order, with their weights at the same positions.
@@ -415,8 +413,6 @@ class KnowledgeIndex:
     _posting_weights: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        if not self.fingerprint:
-            self.fingerprint = self.encoder.fingerprint
         self._term_ids = dict(zip(self.terms, range(len(self.terms))))
         n = len(self.entries)
         entry_of = np.repeat(np.arange(n), np.diff(self.offsets))
@@ -449,15 +445,10 @@ class KnowledgeIndex:
         """The k best entries by ``hybrid_score``; descending score, CWE id breaks ties."""
         if not self.entries:
             raise EmptyCorpusError("cannot retrieve from an empty index")
-        if self.encoder.fingerprint != self.fingerprint:
-            raise EncoderMismatchError(
-                f"index was built with encoder {self.fingerprint}, "
-                f"configured encoder is {self.encoder.fingerprint}"
-            )
-        text = query.text if isinstance(query, RetrievalQuery) else query
-        q_dense, q_sparse = self.encoder.encode(text)
         if not 0.0 <= alpha <= 1.0:
             raise ValueError("alpha must lie in [0, 1]")
+        text = query.text if isinstance(query, RetrievalQuery) else query
+        q_dense, q_sparse = self.encoder.encode(text)
         if k <= 0:
             return []
         overlap = np.zeros(len(self.entries))
@@ -505,7 +496,7 @@ class KnowledgeIndex:
                 "dim": self.encoder.dim,
                 "seed": self.encoder.seed,
             },
-            "fingerprint": self.fingerprint,
+            "fingerprint": self.encoder.fingerprint,
             "entries": [dataclasses.asdict(e) for e in self.entries],
             "terms": self.terms,
         }
@@ -524,7 +515,7 @@ class KnowledgeIndex:
             temp.unlink(missing_ok=True)
 
     @classmethod
-    def load(cls, path: str | Path, encoder: ReferenceEncoder | None = None) -> "KnowledgeIndex":
+    def load(cls, path: str | Path) -> "KnowledgeIndex":
         try:
             raw = Path(path).read_bytes()
         except OSError as exc:
@@ -546,12 +537,20 @@ class KnowledgeIndex:
         spec = header.get("encoder")
         if not (
             isinstance(spec, dict)
+            and spec.get("name") == ReferenceEncoder.name
             and type(spec.get("dim")) is int  # not a bool
             and spec["dim"] >= 1
             and type(spec.get("seed")) is int
         ):
             raise CorpusFormatError(
-                f"index {path}: encoder needs an integer dim >= 1 and an integer seed"
+                f"index {path}: encoder needs the name {ReferenceEncoder.name!r}, "
+                "an integer dim >= 1 and an integer seed"
+            )
+        encoder = ReferenceEncoder(dim=spec["dim"], seed=spec["seed"])
+        if header.get("fingerprint") != encoder.fingerprint:
+            raise CorpusFormatError(
+                f"index {path}: fingerprint {header.get('fingerprint')!r} does not match "
+                f"its encoder's {encoder.fingerprint!r}"
             )
         entries = _index_entries(header.get("entries"))
         if entries is None:
@@ -559,8 +558,6 @@ class KnowledgeIndex:
         terms = header.get("terms")
         if not (isinstance(terms, list) and set(map(type, terms)) <= {str}):
             raise CorpusFormatError(f"index {path}: terms must be a list of strings")
-        if not isinstance(header.get("fingerprint"), str):
-            raise CorpusFormatError(f"index {path}: fingerprint must be a string")
         dense, offsets, term_ids, weights = _read_blocks(raw, len(line) + 1, path)
         n, dim = len(entries), spec["dim"]
         if dense.shape != (n, dim) or not np.isfinite(dense).all():
@@ -581,19 +578,14 @@ class KnowledgeIndex:
             raise CorpusFormatError(f"index {path}: term ids must index the {len(terms)} terms")
         if weights.shape != (pairs,) or not np.isfinite(weights).all():
             raise CorpusFormatError(f"index {path}: weights must hold {pairs} finite numbers")
-        if encoder is None:
-            encoder = ReferenceEncoder(dim=dim, seed=spec["seed"])
-        index = cls(entries, dense, terms, offsets, term_ids, weights, encoder, header["fingerprint"])
+        index = cls(entries, dense, terms, offsets, term_ids, weights, encoder)
+        if len(index._term_ids) != len(terms):
+            raise CorpusFormatError(f"index {path}: a term repeats in the vocabulary")
         # A term's postings list its entries in ascending order, so a term held
         # twice by one entry shows as two equal neighbours within its span.
         posting_terms = np.repeat(np.arange(len(terms)), np.diff(index._posting_offsets))
         if ((np.diff(posting_terms) == 0) & (np.diff(index._posting_entries) == 0)).any():
             raise CorpusFormatError(f"index {path}: a term repeats within one entry")
-        if encoder.fingerprint != index.fingerprint:
-            raise EncoderMismatchError(
-                f"index {path} was built with encoder {index.fingerprint}, "
-                f"configured encoder is {encoder.fingerprint}"
-            )
         return index
 
 

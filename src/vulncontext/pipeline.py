@@ -23,8 +23,6 @@ from pathlib import Path
 from .datasets import Verdict, jsonl_line, open_output, parse_verdicts, verdict_record
 from .errors import (
     EmptyCorpusError,
-    EncoderMismatchError,
-    EncoderUnavailableError,
     LlmError,
     SourceSyntaxError,
     TriageError,
@@ -98,12 +96,7 @@ def parse_verdict(text: str, fn_id: str = "") -> Verdict:
     return Verdict(fn_id, label)
 
 
-_KNOWLEDGE_FAILURES = (
-    LlmError,
-    EncoderUnavailableError,
-    EncoderMismatchError,
-    EmptyCorpusError,
-)
+_KNOWLEDGE_FAILURES = (LlmError, EmptyCorpusError)
 
 
 # Helper threads for the query and explanation calls.  A ThreadPoolExecutor

@@ -6,6 +6,8 @@ verbatim; nothing else in the template text changes at runtime.
 
 from __future__ import annotations
 
+import re
+
 __all__ = [
     "QUERY_GENERATION_TEMPLATE",
     "EXPLANATION_TEMPLATE",
@@ -82,10 +84,10 @@ def fill_explanation_prompt(code: str) -> str:
     return EXPLANATION_TEMPLATE.replace("<Code>", code)
 
 
+_JUDGMENT_SLOT_RE = re.compile(r"<(Code|Control_Info|Knowledge|Explain)>")
+
+
 def fill_judgment_prompt(code: str, control_info: str, knowledge: str, explain: str) -> str:
-    return (
-        JUDGMENT_TEMPLATE.replace("<Code>", code)
-        .replace("<Control_Info>", control_info)
-        .replace("<Knowledge>", knowledge)
-        .replace("<Explain>", explain)
-    )
+    # One pass over the template, so a placeholder inside a slot's text stays as written.
+    slots = {"Code": code, "Control_Info": control_info, "Knowledge": knowledge, "Explain": explain}
+    return _JUDGMENT_SLOT_RE.sub(lambda match: slots[match.group(1)], JUDGMENT_TEMPLATE)

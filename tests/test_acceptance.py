@@ -27,7 +27,7 @@ from fixtures import (
 from test_structure import brute_force_paths
 
 from vulncontext.cli import main
-from vulncontext.errors import EncoderUnavailableError, LlmTimeoutError, LlmTransportError, TriageError
+from vulncontext.errors import LlmTimeoutError, LlmTransportError, TriageError
 from vulncontext.evaluation import compute_metrics, mcnemar_exact
 from vulncontext.graphs import parse
 from vulncontext.knowledge import KnowledgeEntry, build_knowledge_base, hybrid_score
@@ -350,17 +350,10 @@ def test_criterion_7_degradation_matrix():
     verdict = triage(SourceFunction(id="bad", code="void oops( {"), index, client)
     cases.append(("control", verdict))
 
-    # Knowledge-path fault: encoder offline.
-    class DownEncoder:
-        fingerprint = index.encoder.fingerprint
-
-        def encode(self, text):
-            raise EncoderUnavailableError("embedding backend offline")
-
-    down_index = build_knowledge_base(list(TOY_ENTRIES))
-    down_index.encoder = DownEncoder()
+    # Knowledge-path fault: an index with no entries to retrieve from.
+    empty_index = build_knowledge_base([])
     client = ScriptedChatClient(rules=scripted_rules("Verdict: Yes"))
-    verdict = triage(SourceFunction(id="cb", code=ok_code), down_index, client)
+    verdict = triage(SourceFunction(id="cb", code=ok_code), empty_index, client)
     cases.append(("knowledge", verdict))
 
     # Semantic-path fault: explanation call times out.

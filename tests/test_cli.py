@@ -291,6 +291,20 @@ def _drop_encoder(header, blocks):
     del header["encoder"]
 
 
+def _foreign_encoder_name(header, blocks):
+    header["encoder"]["name"] = "service-embedder"
+
+
+def _edited_encoder_seed(header, blocks):
+    header["encoder"]["seed"] += 1
+
+
+def _term_repeated_in_vocabulary(header, blocks):
+    # The last passage does not hold the first term, so no passage repeats it.
+    assert 0 not in blocks["term_ids"][blocks["offsets"][-2] :]
+    header["terms"][-1] = header["terms"][0]
+
+
 def _short_dense_row(header, blocks):
     blocks["dense"] = blocks["dense"][:, :-1]
 
@@ -344,6 +358,8 @@ def _pickled_block(header, blocks):
     "damage",
     [
         _drop_encoder,
+        _foreign_encoder_name,
+        _edited_encoder_seed,
         _short_dense_row,
         _short_sparse,
         _string_entries,
@@ -354,6 +370,7 @@ def _pickled_block(header, blocks):
         _term_id_past_terms,
         _decreasing_offsets,
         _term_repeated_in_entry,
+        _term_repeated_in_vocabulary,
         _nan_dense,
         _pickled_block,
     ],
@@ -595,6 +612,28 @@ def test_unknown_verdict_label_is_data_error(tmp_path, dataset_path, capsys, lab
         ],
     )
     with pytest.raises(DatasetFormatError, match="label"):
+        load_verdicts(verdicts_path)
+    argv = ["evaluate", "--predictions", str(verdicts_path), "--dataset", str(dataset_path)]
+    assert main(argv + ["--pairs", str(pairs_path)]) == 2
+    assert "data error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("degraded_paths", "control"), ("degraded_paths", [1]), ("parse_failure", "false"), ("parse_failure", 0)],
+)
+def test_mistyped_verdict_field_is_data_error(tmp_path, dataset_path, capsys, field, value):
+    pairs_path = tmp_path / "pairs.jsonl"
+    write_jsonl(pairs_path, [{"pair_id": "p", "vulnerable_id": "copy_bytes", "benign_id": "safe_add"}])
+    verdicts_path = tmp_path / "v.jsonl"
+    write_jsonl(
+        verdicts_path,
+        [
+            {"record": "verdict", "id": "copy_bytes", "label": "vulnerable", field: value},
+            {"record": "verdict", "id": "safe_add", "label": "benign"},
+        ],
+    )
+    with pytest.raises(DatasetFormatError, match=field):
         load_verdicts(verdicts_path)
     argv = ["evaluate", "--predictions", str(verdicts_path), "--dataset", str(dataset_path)]
     assert main(argv + ["--pairs", str(pairs_path)]) == 2

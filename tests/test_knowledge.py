@@ -20,7 +20,6 @@ from vulncontext import knowledge
 from vulncontext.errors import (
     CorpusFormatError,
     EmptyCorpusError,
-    EncoderMismatchError,
     QueryParseError,
 )
 from vulncontext.graphs import SourceFunction
@@ -184,10 +183,15 @@ def test_index_with_stored_alpha_still_loads(tmp_path, toy_index):
 
 
 def test_encoder_mismatch_is_detected(tmp_path, toy_index):
+    # The stored fingerprint no longer matches the encoder the header names.
     path = tmp_path / "kb.idx"
     toy_index.save(path)
-    with pytest.raises(EncoderMismatchError):
-        KnowledgeIndex.load(path, encoder=ReferenceEncoder(seed=99))
+    line, _, blocks = path.read_bytes().partition(b"\n")
+    header = json.loads(line)
+    header["encoder"]["seed"] = 99
+    path.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + blocks)
+    with pytest.raises(CorpusFormatError, match="fingerprint"):
+        KnowledgeIndex.load(path)
 
 
 @pytest.mark.parametrize("interrupt", [OSError(28, "No space left on device"), KeyboardInterrupt()])

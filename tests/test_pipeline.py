@@ -24,7 +24,6 @@ from fixtures import (
 from vulncontext.datasets import jsonl_line, load_verdicts, verdict_record
 from vulncontext.errors import (
     DatasetFormatError,
-    EncoderUnavailableError,
     LlmTimeoutError,
     LlmTransportError,
     TriageError,
@@ -89,6 +88,15 @@ def test_instruction_hash_is_pinned():
         "Copies len bytes.",
     )
     assert prompt_sha256(rendered) == GOLDEN_INSTRUCTION_SHA256
+
+
+def test_each_slot_is_put_in_verbatim():
+    placeholders = "<Code> <Control_Info> <Knowledge> <Explain>"
+    slots = [f"{name}: {placeholders}" for name in ("code", "control", "knowledge", "explain")]
+    rendered = assemble_instruction(*slots)
+    offsets = [rendered.find(slot) for slot in slots]
+    assert [rendered.count(slot) for slot in slots] == [1, 1, 1, 1]
+    assert offsets == sorted(offsets)
 
 
 def test_empty_code_slot_is_rejected():
@@ -276,17 +284,10 @@ def test_input_too_deep_to_parse_degrades_control_only(toy_index):
     assert verdict.degraded_paths == frozenset({"control"})
 
 
-def test_offline_encoder_degrades_knowledge_only(copy_bytes, toy_index):
-    class DownEncoder:
-        fingerprint = toy_index.encoder.fingerprint
-
-        def encode(self, text):
-            raise EncoderUnavailableError("embedding service unreachable")
-
-    broken_index = build_knowledge_base(list(TOY_ENTRIES))
-    broken_index.encoder = DownEncoder()
+def test_empty_index_degrades_knowledge_only(copy_bytes):
+    empty_index = build_knowledge_base([])  # retrieval raises EmptyCorpusError
     client = ScriptedChatClient(rules=scripted_rules())
-    verdict = triage(copy_bytes, broken_index, client)
+    verdict = triage(copy_bytes, empty_index, client)
     assert verdict.degraded_paths == frozenset({"knowledge"})
     assert DEGRADED_KNOWLEDGE in client.call_log[-1].prompt
 
