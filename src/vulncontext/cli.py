@@ -20,7 +20,6 @@ from .errors import (
     ConfigError,
     CorpusFormatError,
     DatasetFormatError,
-    EmptyCorpusError,
     LlmError,
     MissingPredictionError,
     SourceSyntaxError,
@@ -49,7 +48,7 @@ _DATA_ERRORS = (
     ConfigError,
     MissingPredictionError,
 )
-_BACKEND_ERRORS = (LlmError, TriageError, EmptyCorpusError)
+_BACKEND_ERRORS = (LlmError, TriageError)
 
 
 class _Parser(argparse.ArgumentParser):

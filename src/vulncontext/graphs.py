@@ -1,17 +1,22 @@
 """C source frontend: one parse produces the AST, CFG, and DFG of a function.
 
 C is the only language; any other raises ``UnsupportedLanguageError``.  Input
-too deep for any frontend walk (about 140 nested ``if``s, or about 250 terms in
-one expression) raises ``SourceTooDeepError``, any other rejected input
-``SourceSyntaxError``.
+too deep for any frontend walk raises ``SourceTooDeepError``, any other
+rejected input ``SourceSyntaxError``.  Called near the top of the stack,
+``parse`` takes 138 nested ``if``s and 247 terms in one expression, and
+refuses 139 and 248; a deeper caller lowers both limits, by one ``if`` per
+seven frames and one term per four.
 
 The abstract syntax tree is a lowering of pycparser's concrete tree onto a
 small set of semantic node kinds; grammar plumbing (blocks, lists, and type
 syntax such as ``TypeDecl`` and ``PtrDecl``) is spliced away at lowering, its
-children lowered in its place.  The finished tree is numbered once, in
-preorder.  The control-flow graph allocates one node per statement or
-condition, with explicit join nodes after branch constructs and an implicit
-end-of-body node for functions whose control can fall off the closing brace.
+children lowered in its place.  The lowering dispatches on each pycparser
+node's type and numbers each node in preorder as it makes it.  Branch, loop
+and return labels, callee expressions and ``for`` clauses are rendered once,
+by the lowering; the CFG builder reuses that text.  The control-flow graph
+allocates one node per statement or condition, with explicit join nodes after
+branch constructs and an implicit end-of-body node for functions whose
+control can fall off the closing brace.
 Every statement is built; what Entry cannot reach is pruned once, so a goto
 into dead code keeps its target.  Only branch and loop nodes fork: every plain
 ``statement`` node has exactly one out-edge, labelled ``seq``.
@@ -41,6 +46,7 @@ CFG, and a 4-edge DFG:
 from __future__ import annotations
 
 import heapq
+import itertools
 import re
 from dataclasses import dataclass, field
 
@@ -104,11 +110,18 @@ class AstNode:
 
     def walk(self):
         """Yield this node and its descendants in preorder."""
-        stack = [self]
+        yield self
+        # One iterator per open ancestor: a node's children are visited in
+        # place, and the tree's depth costs no recursion.
+        stack = [iter(self.children)]
         while stack:
-            node = stack.pop()
-            yield node
-            stack.extend(reversed(node.children))
+            for node in stack[-1]:
+                yield node
+                if node.children:
+                    stack.append(iter(node.children))
+                    break
+            else:
+                stack.pop()
 
 
 @dataclass(frozen=True)
@@ -182,6 +195,13 @@ class CategoryCounts:
     branches: int
     calls: int
 
+    @classmethod
+    def tally(cls, kinds: list[str], params: int) -> CategoryCounts:
+        """The counts of a function from the kinds of its AST nodes and its
+        number of parameter declarations, which count as one aggregate."""
+        declarations = kinds.count("declaration") - params + (1 if params else 0)
+        return cls(declarations, kinds.count("assignment"), kinds.count("branch"), kinds.count("call"))
+
 
 # ---------------------------------------------------------------------------
 # Parsing front door
@@ -245,23 +265,13 @@ def count_ast_categories(ast: AstNode) -> CategoryCounts:
     with an initializer contributes to both the declaration and assignment
     counts (the initializer lowers to an assignment child node).
     """
-    decls = assigns = branches = calls = 0
-    has_params = False
+    kinds: list[str] = []
+    params = 0
     for node in ast.walk():
-        if node.kind == "declaration":
-            if node.role == "param":
-                has_params = True
-            else:
-                decls += 1
-        elif node.kind == "assignment":
-            assigns += 1
-        elif node.kind == "branch":
-            branches += 1
-        elif node.kind == "call":
-            calls += 1
-    if has_params:
-        decls += 1
-    return CategoryCounts(decls, assigns, branches, calls)
+        kinds.append(node.kind)
+        if node.role == "param":
+            params += 1
+    return CategoryCounts.tally(kinds, params)
 
 
 # ---------------------------------------------------------------------------
@@ -287,17 +297,16 @@ def _parse_c(fn: SourceFunction) -> GraphBundle:
     if not func_defs:
         raise SourceSyntaxError("input contains no function definition")
 
-    roots = [_lower_funcdef(fd) for fd in func_defs]
-    if len(roots) == 1:
-        ast_root = roots[0]
+    lowering = _Lowering()
+    if len(func_defs) == 1:
+        ast_root = lowering.funcdef(func_defs[0])
     else:
-        ast_root = AstNode(kind="unit", name=None, line=roots[0].line, children=roots)
-    for uid, node in enumerate(ast_root.walk()):
-        node.uid = uid
+        ast_root = lowering.node("unit", None, _line_of(func_defs[0]))
+        ast_root.children.extend(lowering.funcdef(fd) for fd in func_defs)
 
     cfg = CfgGraph()
     dfg = DfgGraph()
-    cfg_builder = _CfgBuilder()
+    cfg_builder = _CfgBuilder(lowering.rendered)
     next_id = 0
     for fd in func_defs:
         fn_nodes, fn_edges, refs, params = cfg_builder.build_function(fd, start_id=next_id)
@@ -313,13 +322,19 @@ def _safe_name(name: str) -> str:
 
 
 def _render(node) -> str:
+    # A name or a constant renders as itself, as ``CGenerator`` renders it.
+    t = type(node)
+    if t is c_ast.ID:
+        return node.name
+    if t is c_ast.Constant:
+        return node.value
     # A generator per call: each keeps an indent level, which a RecursionError
     # leaves raised and which concurrent calls would share.
     return c_generator.CGenerator().visit(node)
 
 
 def _line_of(node, fallback: int = 1) -> int:
-    coord = getattr(node, "coord", None)
+    coord = node.coord
     return coord.line if coord is not None and coord.line else fallback
 
 
@@ -339,132 +354,155 @@ def _first_line(node) -> int:
 
 # Grammar plumbing: blocks, lists, and type syntax.  Each is replaced by its
 # lowered children.
-_SPLICE_NODES = (
-    c_ast.Compound,
-    c_ast.DeclList,
-    c_ast.ParamList,
-    c_ast.ExprList,
-    c_ast.TypeDecl,
-    c_ast.PtrDecl,
-    c_ast.ArrayDecl,
-    c_ast.FuncDecl,
-    c_ast.IdentifierType,
-    c_ast.Typename,
-    c_ast.EllipsisParam,
-    c_ast.Struct,
-    c_ast.Union,
-    c_ast.Enum,
-    c_ast.Enumerator,
-    c_ast.EnumeratorList,
-    c_ast.Typedef,
+_SPLICE_TYPES = frozenset(
+    (
+        c_ast.Compound,
+        c_ast.DeclList,
+        c_ast.ParamList,
+        c_ast.ExprList,
+        c_ast.TypeDecl,
+        c_ast.PtrDecl,
+        c_ast.ArrayDecl,
+        c_ast.FuncDecl,
+        c_ast.IdentifierType,
+        c_ast.Typename,
+        c_ast.EllipsisParam,
+        c_ast.Struct,
+        c_ast.Union,
+        c_ast.Enum,
+        c_ast.Enumerator,
+        c_ast.EnumeratorList,
+        c_ast.Typedef,
+    )
 )
 
-_OPERATOR_NODES = (
-    c_ast.BinaryOp,
-    c_ast.UnaryOp,
-    c_ast.Cast,
-    c_ast.TernaryOp,
-    c_ast.StructRef,
-    c_ast.ArrayRef,
-    c_ast.InitList,
-    c_ast.CompoundLiteral,
-    c_ast.NamedInitializer,
-)
+# Kinds whose name does not depend on the node.  Operators without an ``op``
+# are named by their type.
+_FIXED_KINDS: dict[type, tuple[str, str | None]] = {
+    c_ast.Break: ("break", None),
+    c_ast.Continue: ("continue", None),
+    c_ast.Case: ("case", None),
+    c_ast.Default: ("case", None),
+    **{
+        t: ("operator", t.__name__)
+        for t in (
+            c_ast.Cast,
+            c_ast.TernaryOp,
+            c_ast.StructRef,
+            c_ast.ArrayRef,
+            c_ast.InitList,
+            c_ast.CompoundLiteral,
+            c_ast.NamedInitializer,
+        )
+    },
+}
 
 
-def _lower_funcdef(fd: c_ast.FuncDef) -> AstNode:
-    line = _line_of(fd)
-    root = AstNode(kind="function-def", name=fd.decl.name, line=line)
-    func_decl = fd.decl.type
-    if isinstance(func_decl, c_ast.FuncDecl) and func_decl.args is not None:
-        for param in func_decl.args.params:
-            if isinstance(param, c_ast.Decl) and param.name:
-                root.children.append(_lower_decl(param, role="param"))
-            else:
-                root.children.extend(_lower(param, line))
-    root.children.extend(_lower(fd.body, line))
-    return root
+class _Lowering:
+    """The lowering of one parse.
 
+    Each ``AstNode`` takes the next preorder ``uid`` as it is made, before
+    its children are lowered.  ``rendered`` keeps, by pycparser node, each
+    branch and loop label and each returned value, callee expression and
+    ``for`` init and step that the lowering renders, so the CFG builder
+    reuses the text instead of rendering it again.
+    """
 
-def _lower_decl(decl: c_ast.Decl, role: str | None = None) -> AstNode:
-    line = _line_of(decl)
-    node = AstNode(kind="declaration", name=decl.name, line=line, role=role)
-    node.children.extend(_lower(decl.type, line))
-    if decl.init is not None:
-        node.children.append(AstNode("assignment", "=", line, children=_lower(decl.init, line)))
-    return node
+    __slots__ = ("_uids", "rendered")
 
+    def __init__(self):
+        self._uids = itertools.count()
+        self.rendered: dict[c_ast.Node, str] = {}
 
-def _lower(node, line: int) -> list[AstNode]:
-    """Lower an arbitrary pycparser node to zero or more AstNodes; one without
-    a position (a compound literal) takes ``line``, its nearest ancestor's."""
-    line = _line_of(node, line)
-    if isinstance(node, _SPLICE_NODES):
-        out: list[AstNode] = []
-        for _, child in node.children():
-            out.extend(_lower(child, line))
-        return out
-    if isinstance(node, c_ast.Decl):
-        return [_lower_decl(node)]
-    kind, name = _classify(node)
-    lowered = AstNode(kind=kind, name=name, line=line)
-    for _, child in node.children():
-        lowered.children.extend(_lower(child, line))
-    return [lowered]
+    def node(self, kind: str, name: str | None, line: int, role: str | None = None) -> AstNode:
+        return AstNode(kind, name, line, [], role, next(self._uids))
 
+    def keep(self, node, text: str) -> str:
+        """Record ``text`` as what ``node`` renders to, for the CFG builder."""
+        self.rendered[node] = text
+        return text
 
-def _classify(node) -> tuple[str, str | None]:
-    if isinstance(node, c_ast.Assignment):
-        return "assignment", node.op
-    if isinstance(node, (c_ast.If, c_ast.Switch)):
-        return "branch", _branch_label(node)
-    if isinstance(node, (c_ast.While, c_ast.DoWhile, c_ast.For)):
-        return "loop", _loop_label(node)
-    if isinstance(node, c_ast.FuncCall):
-        return "call", _callee_name(node)
-    if isinstance(node, c_ast.Return):
-        return "return", _render(node.expr) if node.expr is not None else None
-    if isinstance(node, c_ast.ID):
-        return "identifier", node.name
-    if isinstance(node, c_ast.Constant):
-        return "constant", node.value
-    if isinstance(node, c_ast.Break):
-        return "break", None
-    if isinstance(node, c_ast.Continue):
-        return "continue", None
-    if isinstance(node, c_ast.Goto):
-        return "goto", node.name
-    if isinstance(node, c_ast.Label):
-        return "label", node.name
-    if isinstance(node, (c_ast.Case, c_ast.Default)):
-        return "case", None
-    if isinstance(node, _OPERATOR_NODES):
-        op = getattr(node, "op", None)
-        return "operator", op if isinstance(op, str) else type(node).__name__
-    return "statement", type(node).__name__
+    def funcdef(self, fd: c_ast.FuncDef) -> AstNode:
+        line = _line_of(fd)
+        root = self.node("function-def", fd.decl.name, line)
+        out = root.children
+        func_decl = fd.decl.type
+        if type(func_decl) is c_ast.FuncDecl and func_decl.args is not None:
+            for param in func_decl.args.params:
+                if type(param) is c_ast.Decl and param.name:
+                    out.append(self.decl(param, role="param"))
+                else:
+                    self.lower(param, line, out)
+        self.lower(fd.body, line, out)
+        return root
 
+    def decl(self, decl: c_ast.Decl, role: str | None = None) -> AstNode:
+        line = _line_of(decl)
+        node = self.node("declaration", decl.name, line, role)
+        self.lower(decl.type, line, node.children)
+        if decl.init is not None:
+            assign = self.node("assignment", "=", line)
+            node.children.append(assign)
+            self.lower(decl.init, line, assign.children)
+        return node
 
-def _callee_name(call: c_ast.FuncCall) -> str:
-    if isinstance(call.name, c_ast.ID):
-        return call.name.name
-    return _render(call.name)
+    def lower(self, node, line: int, out: list[AstNode]) -> None:
+        """Append the lowering of ``node`` to ``out``: one AstNode, or the
+        lowerings of its children for grammar plumbing.  A node without a
+        position (a compound literal) takes ``line``, its nearest ancestor's."""
+        coord = node.coord
+        if coord is not None and coord.line:
+            line = coord.line
+        t = type(node)
+        # ``AstNode`` is built in place here, the hottest path, not by ``node``.
+        if t is c_ast.ID:
+            out.append(AstNode("identifier", node.name, line, [], None, next(self._uids)))
+            return
+        if t is c_ast.Constant:
+            out.append(AstNode("constant", node.value, line, [], None, next(self._uids)))
+            return
+        if t in _SPLICE_TYPES:
+            for child in node:
+                self.lower(child, line, out)
+            return
+        if t is c_ast.Decl:
+            out.append(self.decl(node))
+            return
+        kind, name = self.classify(node, t)
+        lowered = AstNode(kind, name, line, [], None, next(self._uids))
+        out.append(lowered)
+        children = lowered.children
+        for child in node:
+            self.lower(child, line, children)
 
-
-def _branch_label(node) -> str:
-    if isinstance(node, c_ast.If):
-        return f"if({_render(node.cond)})"
-    return f"switch({_render(node.cond)})"
-
-
-def _loop_label(node) -> str:
-    if isinstance(node, c_ast.While):
-        return f"while({_render(node.cond)})"
-    if isinstance(node, c_ast.DoWhile):
-        return f"do-while({_render(node.cond)})"
-    init = _render(node.init) if node.init is not None else ""
-    cond = _render(node.cond) if node.cond is not None else ""
-    nxt = _render(node.next) if node.next is not None else ""
-    return f"for({init}; {cond}; {nxt})"
+    def classify(self, node, t: type) -> tuple[str, str | None]:
+        if t is c_ast.BinaryOp or t is c_ast.UnaryOp:
+            return "operator", node.op
+        if t is c_ast.Assignment:
+            return "assignment", node.op
+        if t is c_ast.FuncCall:
+            callee = node.name
+            return "call", callee.name if type(callee) is c_ast.ID else self.keep(callee, _render(callee))
+        if t is c_ast.If:
+            return "branch", self.keep(node, f"if({_render(node.cond)})")
+        if t is c_ast.Switch:
+            return "branch", self.keep(node, f"switch({_render(node.cond)})")
+        if t is c_ast.Return:
+            return "return", None if node.expr is None else self.keep(node.expr, _render(node.expr))
+        if t is c_ast.While:
+            return "loop", self.keep(node, f"while({_render(node.cond)})")
+        if t is c_ast.DoWhile:
+            return "loop", self.keep(node, f"do-while({_render(node.cond)})")
+        if t is c_ast.For:
+            init = "" if node.init is None else self.keep(node.init, _render(node.init))
+            cond = "" if node.cond is None else _render(node.cond)
+            nxt = "" if node.next is None else self.keep(node.next, _render(node.next))
+            return "loop", self.keep(node, f"for({init}; {cond}; {nxt})")
+        if t is c_ast.Goto:
+            return "goto", node.name
+        if t is c_ast.Label:
+            return "label", node.name
+        return _FIXED_KINDS.get(t) or ("statement", t.__name__)
 
 
 # -- variable reference extraction ------------------------------------------
@@ -481,52 +519,58 @@ class _Refs:
         self.call: c_ast.FuncCall | None = None
 
 
+# The references of every node that reads and writes nothing.  Never mutated.
+_NO_REFS = _Refs()
+
+
 def _collect_uses(expr, refs: _Refs) -> None:
     """Record every identifier read by ``expr``, and its first call.
 
     Children are visited in source order, so the first call met is the
     first one in a preorder walk of ``expr``.
     """
-    if expr is None:
-        return
-    if isinstance(expr, c_ast.ID):
+    t = type(expr)
+    if t is c_ast.ID:
         refs.uses.add(expr.name)
-        return
-    if isinstance(expr, c_ast.Assignment):
+    elif t is c_ast.Constant or expr is None:
+        pass
+    elif t is c_ast.BinaryOp:
+        _collect_uses(expr.left, refs)
+        _collect_uses(expr.right, refs)
+    elif t is c_ast.Assignment:
         _collect_write_target(expr.lvalue, refs, also_use=(expr.op != "="))
         _collect_uses(expr.rvalue, refs)
-        return
-    if isinstance(expr, c_ast.UnaryOp) and expr.op in ("p++", "p--", "++", "--"):
+    elif t is c_ast.UnaryOp and expr.op in ("p++", "p--", "++", "--"):
         _collect_write_target(expr.expr, refs, also_use=True)
-        return
-    if isinstance(expr, c_ast.FuncCall):
+    elif t is c_ast.FuncCall:
         if refs.call is None:
             refs.call = expr
         # The callee designator is not a data read unless it is an expression.
-        if not isinstance(expr.name, c_ast.ID):
+        if type(expr.name) is not c_ast.ID:
             _collect_uses(expr.name, refs)
         _collect_uses(expr.args, refs)
-        return
-    for _, child in expr.children():
-        _collect_uses(child, refs)
+    else:
+        for child in expr:
+            _collect_uses(child, refs)
 
 
 def _collect_write_target(lvalue, refs: _Refs, also_use: bool) -> None:
     """Classify an lvalue: plain names and member writes define the base name;
     pointer-dereference and arrow writes only read the pointer."""
-    if isinstance(lvalue, c_ast.ID):
+    t = type(lvalue)
+    if t is c_ast.ID:
         refs.defs.add(lvalue.name)
         if also_use:
             refs.uses.add(lvalue.name)
-    elif isinstance(lvalue, c_ast.ArrayRef):
+    elif t is c_ast.ArrayRef:
         _collect_write_target(lvalue.name, refs, also_use)
         _collect_uses(lvalue.subscript, refs)
-    elif isinstance(lvalue, c_ast.StructRef):
+    elif t is c_ast.StructRef:
         if lvalue.type == "->":
             _collect_uses(lvalue.name, refs)
         else:
             _collect_write_target(lvalue.name, refs, also_use)
-    elif isinstance(lvalue, c_ast.UnaryOp) and lvalue.op == "*":
+    elif t is c_ast.UnaryOp and lvalue.op == "*":
         _collect_uses(lvalue.expr, refs)
     else:
         _collect_uses(lvalue, refs)
@@ -551,6 +595,29 @@ class _ContinueCtx:
         self.deferred: list[tuple[int, str]] = []
 
 
+# The statement types ``_CfgBuilder`` builds by their own rule; any other
+# statement is an expression.
+_STATEMENT_TYPES = frozenset(
+    (
+        c_ast.Compound,
+        c_ast.Decl,
+        c_ast.DeclList,
+        c_ast.If,
+        c_ast.While,
+        c_ast.DoWhile,
+        c_ast.For,
+        c_ast.Switch,
+        c_ast.Return,
+        c_ast.Break,
+        c_ast.Continue,
+        c_ast.Goto,
+        c_ast.Label,
+        c_ast.EmptyStatement,
+        type(None),
+    )
+)
+
+
 class _CfgBuilder:
     """Builds one statement-level CFG per function definition.
 
@@ -558,7 +625,13 @@ class _CfgBuilder:
     pairs awaiting their successor.  An empty frontier only means nothing
     flows in: the next statement is built all the same, without an in-edge,
     and ``_prune_unreachable`` drops it unless a goto reaches it.
+
+    Labels reuse the text the lowering rendered for the same pycparser node
+    (``rendered``); only what it did not render is rendered here.
     """
+
+    def __init__(self, rendered: dict[c_ast.Node, str]):
+        self.rendered = rendered
 
     def build_function(self, fd: c_ast.FuncDef, start_id: int = 0):
         self.nodes: list[CfgNode] = []
@@ -572,10 +645,9 @@ class _CfgBuilder:
         self.labels: dict[str, int] = {}
         self.pending_gotos: list[tuple[int, str]] = []
 
-        entry = self._node("entry", "Entry", _line_of(fd))
-        exit_node = self._node("exit", "Exit", _line_of(fd))
-        self.exit_id = exit_node.id
-        self.frontier = [(entry.id, "seq")]
+        entry_id = self._node("entry", "Entry", _line_of(fd))
+        self.exit_id = self._node("exit", "Exit", _line_of(fd))
+        self.frontier = [(entry_id, "seq")]
 
         body_start = self._next_id
         for stmt in fd.body.block_items or []:
@@ -588,80 +660,83 @@ class _CfgBuilder:
             target = self.labels.get(label_name, self.exit_id)
             self.edges.append(CfgEdge(goto_id, target))
 
-        self._prune_unreachable(entry.id)
+        self._prune_unreachable(entry_id)
 
         params = self._source_params(fd)
         return self.nodes, self.edges, self.refs, params
 
     # node / edge helpers
 
-    def _node(self, kind: str, label: str, line: int, refs: _Refs | None = None) -> CfgNode:
-        node = CfgNode(self._next_id, kind, label, line, self.fn_name)
-        self._next_id += 1
-        self.nodes.append(node)
-        self.refs[node.id] = refs if refs is not None else _Refs()
-        return node
+    def _node(self, kind: str, label: str, line: int, refs: _Refs = _NO_REFS) -> int:
+        nid = self._next_id
+        self._next_id = nid + 1
+        self.nodes.append(CfgNode(nid, kind, label, line, self.fn_name))
+        self.refs[nid] = refs
+        return nid
 
     def _wire(self, sources: list[tuple[int, str]], dst: int, back: bool = False) -> None:
         for src, label in sources:
             self.edges.append(CfgEdge(src, dst, label, back))
 
-    def _attach(self, kind: str, label: str, line: int, refs: _Refs | None = None) -> CfgNode:
-        node = self._node(kind, label, line, refs)
-        self._wire(self.frontier, node.id)
-        self.frontier = [(node.id, "seq")]
-        return node
+    def _attach(self, kind: str, label: str, line: int, refs: _Refs = _NO_REFS) -> int:
+        nid = self._node(kind, label, line, refs)
+        self._wire(self.frontier, nid)
+        self.frontier = [(nid, "seq")]
+        return nid
 
     # statement dispatch
 
     def _build_stmt(self, stmt) -> None:
-        if stmt is None:
-            return
-        if isinstance(stmt, c_ast.Compound):
+        t = type(stmt)
+        if t not in _STATEMENT_TYPES:
+            # An expression statement.  A compound literal has no coord.
+            coord = stmt.coord
+            self._build_effect(stmt, coord.line if coord is not None and coord.line else _first_line(stmt))
+        elif t is c_ast.Compound:
             for item in stmt.block_items or []:
                 self._build_stmt(item)
-        elif isinstance(stmt, c_ast.Decl):
+        elif t is c_ast.Decl:
             self._build_decl(stmt)
-        elif isinstance(stmt, c_ast.DeclList):
+        elif t is c_ast.DeclList:
             for decl in stmt.decls or []:
                 self._build_decl(decl)
-        elif isinstance(stmt, c_ast.If):
+        elif t is c_ast.If:
             self._build_if(stmt)
-        elif isinstance(stmt, c_ast.While):
+        elif t is c_ast.While:
             self._build_while(stmt)
-        elif isinstance(stmt, c_ast.DoWhile):
+        elif t is c_ast.DoWhile:
             self._build_dowhile(stmt)
-        elif isinstance(stmt, c_ast.For):
+        elif t is c_ast.For:
             self._build_for(stmt)
-        elif isinstance(stmt, c_ast.Switch):
+        elif t is c_ast.Switch:
             self._build_switch(stmt)
-        elif isinstance(stmt, c_ast.Return):
-            label = "return" if stmt.expr is None else f"return {_render(stmt.expr)}"
+        elif t is c_ast.Return:
+            label = "return" if stmt.expr is None else f"return {self._text(stmt.expr)}"
             self._attach("return", label, _line_of(stmt), _stmt_refs(stmt))
             self._wire(self.frontier, self.exit_id)
             self.frontier = []
-        elif isinstance(stmt, c_ast.Break):
-            node = self._attach("statement", "break", _line_of(stmt))
+        elif t is c_ast.Break:
+            nid = self._attach("statement", "break", _line_of(stmt))
             if self.break_stack:
-                self.break_stack[-1].append((node.id, "seq"))
+                self.break_stack[-1].append((nid, "seq"))
             else:
-                self._wire([(node.id, "seq")], self.exit_id)
+                self._wire([(nid, "seq")], self.exit_id)
             self.frontier = []
-        elif isinstance(stmt, c_ast.Continue):
-            node = self._attach("statement", "continue", _line_of(stmt))
+        elif t is c_ast.Continue:
+            nid = self._attach("statement", "continue", _line_of(stmt))
             ctx = self.continue_stack[-1] if self.continue_stack else None
             if ctx is None:
-                self._wire([(node.id, "seq")], self.exit_id)
+                self._wire([(nid, "seq")], self.exit_id)
             elif ctx.target is None:
-                ctx.deferred.append((node.id, "seq"))
+                ctx.deferred.append((nid, "seq"))
             else:
-                self._wire([(node.id, "seq")], ctx.target, back=True)
+                self._wire([(nid, "seq")], ctx.target, back=True)
             self.frontier = []
-        elif isinstance(stmt, c_ast.Goto):
-            node = self._attach("statement", f"goto {stmt.name}", _line_of(stmt))
-            self.pending_gotos.append((node.id, stmt.name))
+        elif t is c_ast.Goto:
+            nid = self._attach("statement", f"goto {stmt.name}", _line_of(stmt))
+            self.pending_gotos.append((nid, stmt.name))
             self.frontier = []
-        elif isinstance(stmt, c_ast.Label):
+        elif t is c_ast.Label:
             # A goto jumps to the first node built here; a statement that
             # builds nothing leaves a ``name:`` anchor to jump to.
             first = self._next_id
@@ -669,10 +744,7 @@ class _CfgBuilder:
             if self._next_id == first:  # the statement built nothing
                 self._attach("statement", f"{stmt.name}:", _line_of(stmt))
             self.labels[stmt.name] = first
-        elif isinstance(stmt, c_ast.EmptyStatement):
-            pass
-        else:
-            self._build_effect(stmt, _first_line(stmt))  # a compound literal has no coord
+        # An empty statement, or a missing one, builds nothing.
 
     def _build_effect(self, expr, line: int, target: str | None = None) -> None:
         """One node for an expression statement, or for the initializer of
@@ -680,11 +752,17 @@ class _CfgBuilder:
         refs = _stmt_refs(expr)
         if target is not None:
             refs.defs.add(target)
-        if refs.call is not None:
-            self._attach("call", f"call {_callee_name(refs.call)}", line, refs)
+        call = refs.call
+        if call is not None:
+            name = call.name.name if type(call.name) is c_ast.ID else self._text(call.name)
+            self._attach("call", f"call {name}", line, refs)
         else:
-            label = _render(expr) if target is None else f"{target} = {_render(expr)}"
+            label = self._text(expr) if target is None else f"{target} = {_render(expr)}"
             self._attach("statement", label, line, refs)
+
+    def _text(self, expr) -> str:
+        text = self.rendered.get(expr)
+        return _render(expr) if text is None else text
 
     def _build_decl(self, decl: c_ast.Decl) -> None:
         line = _line_of(decl)
@@ -694,22 +772,22 @@ class _CfgBuilder:
             self._build_effect(decl.init, line, target=decl.name)
 
     def _build_if(self, node: c_ast.If) -> None:
-        branch = self._attach("branch", _branch_label(node), _line_of(node), _stmt_refs(node.cond))
+        branch = self._attach("branch", self.rendered[node], _line_of(node), _stmt_refs(node.cond))
 
-        self.frontier = [(branch.id, "True")]
+        self.frontier = [(branch, "True")]
         self._build_stmt(node.iftrue)
         then_exits = self.frontier
 
         if node.iffalse is not None:
-            self.frontier = [(branch.id, "False")]
+            self.frontier = [(branch, "False")]
             self._build_stmt(node.iffalse)
             else_exits = self.frontier
         else:
-            else_exits = [(branch.id, "False")]
+            else_exits = [(branch, "False")]
 
         join = self._node("statement", "join", _line_of(node))
-        self._wire(then_exits + else_exits, join.id)
-        self.frontier = [(join.id, "seq")]
+        self._wire(then_exits + else_exits, join)
+        self.frontier = [(join, "seq")]
 
     def _loop_body(self, stmt, cont: _ContinueCtx) -> list[tuple[int, str]]:
         """Build a loop body from the current frontier; return its breaks."""
@@ -722,56 +800,56 @@ class _CfgBuilder:
         return breaks
 
     def _build_while(self, node: c_ast.While) -> None:
-        loop = self._attach("loop", _loop_label(node), _line_of(node), _stmt_refs(node.cond))
-        self.frontier = [(loop.id, "True")]
-        breaks = self._loop_body(node.stmt, _ContinueCtx(target=loop.id))
-        self._wire(self.frontier, loop.id, back=True)
-        self.frontier = [(loop.id, "False")] + breaks
+        loop = self._attach("loop", self.rendered[node], _line_of(node), _stmt_refs(node.cond))
+        self.frontier = [(loop, "True")]
+        breaks = self._loop_body(node.stmt, _ContinueCtx(target=loop))
+        self._wire(self.frontier, loop, back=True)
+        self.frontier = [(loop, "False")] + breaks
 
     def _build_dowhile(self, node: c_ast.DoWhile) -> None:
         body_start = self._next_id
         cont = _ContinueCtx(target=None)
         # The entry frontier flows straight into the body.
         breaks = self._loop_body(node.stmt, cont)
-        loop = self._node("loop", _loop_label(node), _line_of(node), _stmt_refs(node.cond))
-        self._wire(self.frontier, loop.id)
-        self._wire(cont.deferred, loop.id)
+        loop = self._node("loop", self.rendered[node], _line_of(node), _stmt_refs(node.cond))
+        self._wire(self.frontier, loop)
+        self._wire(cont.deferred, loop)
         # An empty body leaves the loop node itself with id body_start: a self-loop.
-        self.edges.append(CfgEdge(loop.id, body_start, "True", back=True))
-        self.frontier = [(loop.id, "False")] + breaks
+        self.edges.append(CfgEdge(loop, body_start, "True", back=True))
+        self.frontier = [(loop, "False")] + breaks
 
     def _build_for(self, node: c_ast.For) -> None:
         self._build_stmt(node.init)
-        loop = self._attach("loop", _loop_label(node), _line_of(node), _stmt_refs(node.cond))
+        loop = self._attach("loop", self.rendered[node], _line_of(node), _stmt_refs(node.cond))
         cont = _ContinueCtx(target=None)
-        self.frontier = [(loop.id, "True")]
+        self.frontier = [(loop, "True")]
         breaks = self._loop_body(node.stmt, cont)
         body_exits = self.frontier
 
         if node.next is not None:
             nrefs = _stmt_refs(node.next)
             line = _line_of(node.next, _line_of(node))
-            nxt = self._node("statement", _render(node.next), line, nrefs)
-            self._wire(body_exits, nxt.id)
-            self._wire(cont.deferred, nxt.id)
-            self.edges.append(CfgEdge(nxt.id, loop.id, "seq", back=True))
+            nxt = self._node("statement", self._text(node.next), line, nrefs)
+            self._wire(body_exits, nxt)
+            self._wire(cont.deferred, nxt)
+            self.edges.append(CfgEdge(nxt, loop, "seq", back=True))
         else:
-            self._wire(body_exits, loop.id, back=True)
-            self._wire(cont.deferred, loop.id, back=True)
+            self._wire(body_exits, loop, back=True)
+            self._wire(cont.deferred, loop, back=True)
 
         if node.cond is not None or not breaks:
             # A condition-free loop whose body holds no break, dead or live,
             # gets a never-taken exit edge, so the function keeps an
             # Entry-to-Exit path.
-            self.frontier = [(loop.id, "False")] + breaks
+            self.frontier = [(loop, "False")] + breaks
         else:
             self.frontier = list(breaks)
 
     def _build_switch(self, node: c_ast.Switch) -> None:
-        cond_text = _render(node.cond)
         leading, cases = _flatten_cases(node.stmt)
         if not cases:
             return
+        head = self.rendered[node]  # switch(cond)
 
         # Comparison chain: one branch node per case value, linked by False
         # edges; the final False edge reaches the default body or the join.
@@ -781,11 +859,11 @@ class _CfgBuilder:
             if case_expr is None:
                 continue
             refs = _stmt_refs(node.cond, case_expr)
-            label = f"switch({cond_text}) case {_render(case_expr)}"
+            label = f"{head} case {_render(case_expr)}"
             b = self._node("branch", label, _line_of(case_expr, _line_of(node)), refs)
-            self._wire(incoming, b.id)
-            incoming = [(b.id, "False")]
-            branch_ids.append(b.id)
+            self._wire(incoming, b)
+            incoming = [(b, "False")]
+            branch_ids.append(b)
 
         breaks: list[tuple[int, str]] = []
         self.break_stack.append(breaks)
@@ -810,7 +888,7 @@ class _CfgBuilder:
         if not incoming_used:
             exits.extend(incoming)
         join = self._node("statement", "join", _line_of(node))
-        self._wire(exits, join.id)
+        self._wire(exits, join)
 
         # Statements before the first case are built last, so the switch's
         # first node stays its entry, where a goto to its label lands.  Only
@@ -822,24 +900,23 @@ class _CfgBuilder:
             self._build_stmt(s)
         self.break_stack.pop()
         self._wire(self.frontier, cases_start)
-        self._wire(breaks, join.id)
-        self.frontier = [(join.id, "seq")]
+        self._wire(breaks, join)
+        self.frontier = [(join, "seq")]
 
     def _prune_unreachable(self, entry_id: int) -> None:
-        reachable = {entry_id}
-        stack = [entry_id]
-        out: dict[int, list[CfgEdge]] = {}
+        succs: dict[int, list[int]] = {}
         for e in self.edges:
-            out.setdefault(e.src, []).append(e)
+            succs.setdefault(e.src, []).append(e.dst)
+        reachable = {entry_id, self.exit_id}
+        stack = [entry_id]
         while stack:
-            current = stack.pop()
-            for e in out.get(current, ()):
-                if e.dst not in reachable:
-                    reachable.add(e.dst)
-                    stack.append(e.dst)
-        reachable.add(self.exit_id)
-        self.nodes = [n for n in self.nodes if n.id in reachable]
-        self.edges = [e for e in self.edges if e.src in reachable and e.dst in reachable]
+            for dst in succs.get(stack.pop(), ()):
+                if dst not in reachable:
+                    reachable.add(dst)
+                    stack.append(dst)
+        if len(reachable) < len(self.nodes):
+            self.nodes = [n for n in self.nodes if n.id in reachable]
+            self.edges = [e for e in self.edges if e.src in reachable and e.dst in reachable]
 
     def _source_params(self, fd: c_ast.FuncDef) -> list[tuple[str, int]]:
         """Parameters usable as data sources: values and pointers to const.
@@ -929,24 +1006,24 @@ def _build_dfg(
     splits the group of sites it shares its last use with, or merges that
     group into a larger one.
     """
-    entry = nodes[0]
+    entry_id = nodes[0].id
     by_id = {n.id: n for n in nodes}
     param_lines = dict(params)
 
     # Definition sites, indexed by position: parameters sit on entry, then
     # each node's definitions in statement order.  A set of sites is an int
     # whose bit i is site i: each variable has the mask of its sites, and
-    # each defining node generates the run of its own sites.
+    # each defining node generates the run of its own sites, its definitions
+    # in sorted order.
     site_var = [name for name, _line in params]
-    site_nid = [entry.id] * len(site_var)
-    runs: dict[int, tuple[int, int]] = {}
+    site_nid = [entry_id] * len(site_var)
+    runs: dict[int, tuple[int, int]] = {entry_id: (0, len(site_var))} if site_var else {}
     for n in nodes:
-        first = 0 if n is entry else len(site_var)  # entry's run holds the parameters
-        defs = sorted(refs[n.id].defs)
-        site_var += defs
-        site_nid += [n.id] * len(defs)
-        if len(site_var) > first:
-            runs[n.id] = (first, len(site_var) - first)
+        defs = refs[n.id].defs
+        if defs:
+            runs[n.id] = (len(site_var), len(defs))
+            site_var += sorted(defs)
+            site_nid += [n.id] * len(defs)
     masks: dict[str, int] = {}
     for sid, var in enumerate(site_var):
         masks[var] = masks.get(var, 0) | 1 << sid
@@ -957,9 +1034,9 @@ def _build_dfg(
         preds[e.dst].append(e.src)
         succs[e.src].append(e.dst)
 
+    gens = {nid: ((1 << count) - 1) << first for nid, (first, count) in runs.items()}
     out = dict.fromkeys(by_id, 0)
-    for nid, (first, count) in runs.items():
-        out[nid] = ((1 << count) - 1) << first
+    out.update(gens)
 
     def reach_in(nid: int) -> int:
         ps = preds[nid]
@@ -972,20 +1049,22 @@ def _build_dfg(
     # The lowest id goes first: ids follow statement order, so what a back
     # edge brings to a loop joins the sweep under way instead of starting one.
     # Masks span the whole function, so they are only ever and-ed with a
-    # reaching set, which costs the width of the set.
+    # reaching set, which costs the width of the set.  A node's last visit
+    # sees its final reaching set: a later change to a predecessor would
+    # visit it again.
+    reaching: dict[int, int] = {}
     worklist = list(by_id)  # ascending, so already a heap
     queued = set(by_id)
     while worklist:
         nid = heapq.heappop(worklist)
         queued.discard(nid)
-        reach = reach_in(nid)
-        run = runs.get(nid)
-        if run is not None:
+        reach = reaching[nid] = reach_in(nid)
+        gen = gens.get(nid)
+        if gen is not None:
             killed = 0
             for var in refs[nid].defs:
                 killed |= reach & masks[var]
-            first, count = run
-            reach = reach ^ killed | ((1 << count) - 1) << first
+            reach = reach ^ killed | gen
         if reach != out[nid]:
             out[nid] = reach
             for s in succs[nid]:
@@ -993,17 +1072,14 @@ def _build_dfg(
                     queued.add(s)
                     heapq.heappush(worklist, s)
 
-    # Each variable's uses, in statement order, and the sites reaching each
-    # using node.  The out-sets are not needed past this point.
+    # Each variable's uses, in statement order.  The out-sets are not needed
+    # past this point.
+    del out
     uses_by_var: dict[str, list[int]] = {}
-    reaching: dict[int, int] = {}
     for nid in by_id:
         for var in refs[nid].uses:
             if var in masks:
                 uses_by_var.setdefault(var, []).append(nid)
-                if nid not in reaching:
-                    reaching[nid] = reach_in(nid)
-    del out
 
     # Steps are edges to a use: from a site's own node to its first reached
     # use, or between consecutive reached uses at the lowest site that has
@@ -1104,44 +1180,61 @@ def _build_dfg(
                 del live[home], last[home]
     steps.sort()
 
-    # DFG nodes are named as edges first demand them.
-    dfg_ids: dict[tuple[str, str, int], int] = {}
+    # DFG nodes are named as edges first demand them: a site's own node at
+    # its first step, a use's nodes at the step of the lowest site reaching
+    # it.  A use in a defining statement reaches that statement's definition
+    # nodes, which are its sites' nodes; any other use has one node per
+    # variable.  A repeated parameter name names one node.
+    fn_name = nodes[0].fn
+    dfg_nodes = dfg.nodes
+    site_ids = [-1] * len(site_var)
+    param_ids: dict[str, int] = {}
+    use_ids: dict[tuple[int, str], int] = {}
 
-    def dfg_id(var: str, kind: str, line: int, label: str, stmt: int) -> int:
-        key = (var, kind, stmt)
-        i = dfg_ids.get(key)
-        if i is None:
-            i = dfg_ids[key] = len(dfg.nodes)
-            dfg.nodes.append(DfgNode(i, var, kind, line, label, stmt, entry.fn))
+    def site_id(sid: int) -> int:
+        i = site_ids[sid]
+        if i < 0:
+            var, nid = site_var[sid], site_nid[sid]
+            if nid == entry_id:
+                i = param_ids.get(var, -1)
+                if i < 0:
+                    i = param_ids[var] = len(dfg_nodes)
+                    dfg_nodes.append(DfgNode(i, var, "param", param_lines[var], f"param:{var}", -1, fn_name))
+            else:
+                i = len(dfg_nodes)
+                dfg_nodes.append(DfgNode(i, var, "def", by_id[nid].line, f"def:{var}", nid, fn_name))
+            site_ids[sid] = i
         return i
 
-    targets: dict[tuple[int, str], list[int]] = {}
-    edge_set: set[tuple[int, int]] = set()
+    def use_id(nid: int, var: str) -> int:
+        i = use_ids.get((nid, var), -1)
+        if i < 0:
+            cfg_node = by_id[nid]
+            kind = "sink" if cfg_node.kind in ("call", "return") else "use"
+            i = use_ids[(nid, var)] = len(dfg_nodes)
+            dfg_nodes.append(DfgNode(i, var, kind, cfg_node.line, cfg_node.label, nid, fn_name))
+        return i
+
+    edge_set: set[int] = set()  # src << 32 | dst
     for packed in steps:
         prev = (packed & node_mask) - 1
         packed >>= width
         nid = packed & node_mask
         sid = packed >> width
-        var = site_var[sid]
         if prev < 0:  # a site's first step: its own node comes first
-            def_nid = site_nid[sid]
-            if def_nid == entry.id:
-                src = dfg_id(var, "param", param_lines[var], f"param:{var}", -1)
-            else:
-                src = dfg_id(var, "def", by_id[def_nid].line, f"def:{var}", def_nid)
-        to = targets.get((nid, var))
-        if to is None:  # the step of the lowest site reaching this use
-            cfg_node = by_id[nid]
-            defs = sorted(refs[nid].defs)
-            if defs:
-                to = [dfg_id(w, "def", cfg_node.line, f"def:{w}", nid) for w in defs]
-            else:
-                kind = "sink" if cfg_node.kind in ("call", "return") else "use"
-                to = [dfg_id(var, kind, cfg_node.line, cfg_node.label, nid)]
-            targets[(nid, var)] = to
-        if prev >= 0:
-            src = targets[(prev, var)][0]
+            src = site_id(sid)
+        else:  # the previous use's first node, named at an earlier step
+            run = runs.get(prev)
+            src = site_id(run[0]) if run is not None else use_id(prev, site_var[sid])
+        run = runs.get(nid)
+        if run is None:
+            to: tuple[int, ...] | list[int] = (use_id(nid, site_var[sid]),)
+        elif run[1] == 1:
+            to = (site_id(run[0]),)
+        else:
+            to = [site_id(s) for s in range(run[0], run[0] + run[1])]
         for dst in to:
-            if dst != src and (src, dst) not in edge_set:
-                edge_set.add((src, dst))
+            key = src << 32 | dst
+            if dst != src and key not in edge_set:
+                edge_set.add(key)
                 dfg.edges.append(DfgEdge(src, dst))

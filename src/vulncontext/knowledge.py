@@ -555,6 +555,8 @@ class KnowledgeIndex:
         entries = _index_entries(header.get("entries"))
         if entries is None:
             raise CorpusFormatError(f"index {path}: entries must be objects with string fields")
+        if not entries:  # nothing to retrieve, as ``build-kb`` refuses an empty corpus
+            raise CorpusFormatError(f"index {path} holds no entries")
         terms = header.get("terms")
         if not (isinstance(terms, list) and set(map(type, terms)) <= {str}):
             raise CorpusFormatError(f"index {path}: terms must be a list of strings")

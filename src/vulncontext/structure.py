@@ -39,7 +39,6 @@ from .graphs import (
     DfgNode,
     GraphBundle,
     SourceFunction,
-    count_ast_categories,
     parse,
 )
 
@@ -260,6 +259,8 @@ def aggregate_ast(ast: AstNode) -> list[AstFunctionView]:
 
     Structurally isomorphic functions (same preorder kind sequence, names
     ignored) collapse to one representative view carrying the group size.
+    One walk per function gives its kind sequence, its named calls,
+    conditions and returns, and its category counts.
     """
     roots = [ast] if ast.kind == "function-def" else [
         child for child in ast.children if child.kind == "function-def"
@@ -270,6 +271,7 @@ def aggregate_ast(ast: AstNode) -> list[AstFunctionView]:
         if root.name is None:
             raise MissingPlaceholderError("function definition without a name")
         kinds: list[str] = []
+        params = 0
         call_chain: list[str] = []
         conditions: list[str] = []
         returns: list[str] = []
@@ -281,6 +283,8 @@ def aggregate_ast(ast: AstNode) -> list[AstFunctionView]:
                 conditions.append(node.name)
             elif node.kind == "return" and node.name:
                 returns.append(node.name)
+            elif node.role == "param":
+                params += 1
         shape = tuple(kinds)
         if shape in shapes:
             views[shapes[shape]].collapsed += 1
@@ -290,7 +294,7 @@ def aggregate_ast(ast: AstNode) -> list[AstFunctionView]:
             AstFunctionView(
                 name=root.name,
                 line=root.line,
-                counts=count_ast_categories(root),
+                counts=CategoryCounts.tally(kinds, params),
                 call_chain=call_chain,
                 conditions=conditions,
                 returns=returns,

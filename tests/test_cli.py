@@ -354,6 +354,15 @@ def _pickled_block(header, blocks):
     blocks["weights"] = blocks["weights"].astype(object)
 
 
+def _no_entries(header, blocks):
+    # Well formed, as saving ``build_knowledge_base([])`` writes it, but empty.
+    header["entries"], header["terms"] = [], []
+    blocks["dense"] = blocks["dense"][:0]
+    blocks["offsets"] = blocks["offsets"][:1]
+    blocks["term_ids"] = blocks["term_ids"][:0]
+    blocks["weights"] = blocks["weights"][:0]
+
+
 @pytest.mark.parametrize(
     "damage",
     [
@@ -373,6 +382,7 @@ def _pickled_block(header, blocks):
         _term_repeated_in_vocabulary,
         _nan_dense,
         _pickled_block,
+        _no_entries,
     ],
 )
 def test_analyze_malformed_index_is_data_error(tmp_path, kb_path, dataset_path, capsys, damage):

@@ -1,18 +1,22 @@
-"""Two digests: the structural output and the verdict output of fixed inputs.
+"""Three digests: the lowered AST, the structural output and the verdict output
+of fixed inputs.
 
-The structural digest covers each unit's CFG and DFG node and edge lists as
-``parse`` returns them, and its verbalized A/B/C context at budget 1 and at
-the level budget.  The inputs are the fixture corpus, seeded small pairs and
-large functions from the benchmark's generators, a few multi-function units,
-one unit of C type syntax and one of control-flow and reference shapes.
+The AST digest covers each unit's lowered tree in preorder: every node's
+kind, name, line, role, ``uid`` and number of children.  The structural
+digest covers each unit's CFG and DFG node and edge lists as ``parse``
+returns them, and its verbalized A/B/C context at budget 1 and at the level
+budget.  Both take the same inputs: the fixture corpus, seeded small pairs
+and large functions from the benchmark's generators, a few multi-function
+units, one unit of C type syntax and one of control-flow and reference
+shapes.
 
 The verdict digest covers the verdict files of scripted batch runs in which
 every fault kind occurs, and the run summary that ``analyze`` writes.  Each
 verdict's judge prompt hash covers the structural context text, so this
 digest also pins the frontend end to end.
 
-A refactor that must not change output keeps both constants; a change that
-alters the output on purpose updates one and says why in ``CHANGES.md``.
+A refactor that must not change output keeps all three constants; a change
+that alters the output on purpose updates one and says why in ``CHANGES.md``.
 """
 
 from __future__ import annotations
@@ -24,7 +28,9 @@ import sys
 from dataclasses import astuple
 from pathlib import Path
 
-from fixtures import CONTROL_PLUMBING, FIXTURE_CORPUS, TYPE_PLUMBING
+from hypothesis import given, settings
+
+from fixtures import CONTROL_PLUMBING, FIXTURE_CORPUS, TYPE_PLUMBING, c_functions
 
 from vulncontext.cli import main
 from vulncontext.errors import LlmTimeoutError, LlmTransportError
@@ -45,6 +51,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
 import workloads  # noqa: E402
 
+AST_SHA256 = "e6094dfd4b77dfe9d83ffe6922fa0bff01201fba14b13c319a5fe4598a9c9d7e"
 STRUCTURE_SHA256 = "77876b489e2272c947e6b3438683146e78cd1647bf0216b7c47e33bff49315e2"
 VERDICT_SHA256 = "b16c8848903c33c536822f79fd3dd352b92d75310e5fc143c0f9f20bf263b55c"
 
@@ -105,6 +112,35 @@ def test_inputs_cover_every_shape():
     assert len(fns) >= len(FIXTURE_CORPUS) + 2 * SMALL_PAIRS + len(UNITS)
     shapes = {fn.id.split("-", 1)[1] for fn in fns if fn.id.startswith("L")}
     assert shapes == {shape for shape, _size in workloads.LARGE_GRID}
+
+
+def ast_digest(fns: list[SourceFunction]) -> str:
+    digest = hashlib.sha256()
+    for fn in fns:
+        rows = [[n.kind, n.name, n.line, n.role, n.uid, len(n.children)] for n in parse(fn).ast.walk()]
+        digest.update(json.dumps({"id": fn.id, "ast": rows}, ensure_ascii=False, sort_keys=True).encode("utf-8"))
+        digest.update(b"\n")
+    return digest.hexdigest()
+
+
+def test_lowered_ast_matches_the_committed_digest():
+    assert ast_digest(_inputs()) == AST_SHA256
+
+
+def _assert_uids_are_preorder(fn: SourceFunction) -> None:
+    uids = [node.uid for node in parse(fn).ast.walk()]
+    assert uids == list(range(len(uids))), fn.id
+
+
+def test_uids_number_every_input_in_preorder():
+    for fn in _inputs():
+        _assert_uids_are_preorder(fn)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(fn=c_functions())
+def test_uids_number_generated_functions_in_preorder(fn):
+    _assert_uids_are_preorder(fn)
 
 
 def test_structural_output_matches_the_committed_digest():

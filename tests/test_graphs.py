@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from dataclasses import astuple
 from pathlib import Path
 
@@ -23,6 +24,7 @@ from fixtures import (
 )
 from test_hostile_inputs import SHAPES
 
+from vulncontext import graphs
 from vulncontext.errors import SourceSyntaxError, SourceTooDeepError, UnsupportedLanguageError
 from vulncontext.graphs import (
     CategoryCounts,
@@ -416,6 +418,45 @@ def test_a_render_cut_short_by_depth_leaves_later_labels_unchanged():
     with pytest.raises(SourceTooDeepError):
         parse(deep)
     assert [n.label for n in parse(probe).cfg.nodes] == labels
+
+
+# Every construct whose label holds rendered source: an if, a switch and its
+# cases, while, do-while and for conditions, for clauses that are also CFG
+# statements, a call through an expression, and returned values.
+RENDERED_LABELS = """int f(int n, int (*op)(int)) {
+    int s = 0;
+    if (n > 1)
+        s = op(n);
+    switch (n % 3) { case 0: s++; break; case 1: s--; default: s = 2; }
+    while (n > 0)
+        n--;
+    do s += 2; while (s < 9);
+    for (n = 0; n < 4; n++)
+        s += n;
+    for (int i = 0; i < n; i += 2)
+        (*op)(i);
+    if (s)
+        return s * 2;
+    return 0;
+}
+"""
+
+
+def test_each_label_is_rendered_once(monkeypatch):
+    rendered = []
+    original = graphs._render
+
+    def counting(node):
+        rendered.append(node)
+        return original(node)
+
+    monkeypatch.setattr(graphs, "_render", counting)
+    bundle = parse(SourceFunction(id="labels", code=RENDERED_LABELS))
+    counts = Counter(map(id, rendered))
+    assert [original(node) for node in rendered if counts[id(node)] > 1] == []
+    assert {"if(n > 1)", "switch(n % 3) case 1", "do-while(s < 9)", "n++", "call *op", "return s * 2"} <= {
+        n.label for n in bundle.cfg.nodes
+    }
 
 
 def test_declaration_only_input_is_rejected():
