@@ -1,6 +1,7 @@
 """Command-line interface: build-kb, extract-context, analyze, evaluate.
 
-Exit codes: 0 success, 1 usage error, 2 data error, 3 backend error.
+Exit codes: 0 success, 1 usage error, 2 data error, 3 backend error (a
+function whose judgment call failed, recorded by ``analyze``).
 Every machine-readable output artifact embeds the tool version and a
 fingerprint of the effective configuration.
 """
@@ -20,10 +21,8 @@ from .errors import (
     ConfigError,
     CorpusFormatError,
     DatasetFormatError,
-    LlmError,
     MissingPredictionError,
     SourceSyntaxError,
-    TriageError,
     UnsupportedLanguageError,
     VulnContextError,
 )
@@ -48,7 +47,6 @@ _DATA_ERRORS = (
     ConfigError,
     MissingPredictionError,
 )
-_BACKEND_ERRORS = (LlmError, TriageError)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -164,9 +162,6 @@ def main(argv: list[str] | None = None) -> int:
     except _DATA_ERRORS as exc:
         print(f"vulncontext: data error: {exc}", file=sys.stderr)
         return DATA_EXIT
-    except _BACKEND_ERRORS as exc:
-        print(f"vulncontext: backend error: {exc}", file=sys.stderr)
-        return BACKEND_EXIT
     except VulnContextError as exc:
         print(f"vulncontext: error: {exc}", file=sys.stderr)
         return DATA_EXIT

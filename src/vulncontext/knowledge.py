@@ -11,7 +11,12 @@ over shared terms t.  A dense vector sums its terms' weighted directions in
 the order of its sparse map and is divided by its own norm.  An index build
 does this for all passages at once, one term position at a time, and never
 by an axis reduction, which would sum in another order: every row is
-bit-identical to encoding its passage alone.
+bit-identical to encoding its passage alone.  A build also seeds every
+vocabulary term's direction in one pass, with numpy's ``SeedSequence``
+mixing run on all seeds at once; each direction has the bits of the
+per-term ``default_rng(seed).standard_normal(dim)`` that a query draws, as
+long as numpy keeps the ``SeedSequence`` and ``PCG64`` streams that NEP 19
+fixes.
 
 Retrieval scores the whole corpus per query with one matrix-vector product
 for the dense side and, for the sparse side, the posting lists of the
@@ -122,6 +127,71 @@ _TOKEN_RE = re.compile(r"[a-z0-9]+")
 # whole vocabulary into one matrix instead and leaves the cache alone.
 _TERM_CACHE_LIMIT = 1 << 14
 
+# numpy's SeedSequence and PCG64 seeding constants.  NEP 19 keeps both streams
+# fixed across numpy versions; tests/test_knowledge.py checks them against
+# numpy itself.
+_HASH_INIT_A = 0x43B0D7E5
+_HASH_MULT_A = 0x931E8875
+_HASH_INIT_B = 0x8B51F9DD
+_HASH_MULT_B = 0x58F38DED
+_MIX_MULT_L = np.uint32(0xCA01F9DD)
+_MIX_MULT_R = np.uint32(0x4973F715)
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32 = (1 << 32) - 1
+_MASK128 = (1 << 128) - 1
+
+
+def _seed_sequence_words(seeds: np.ndarray) -> np.ndarray:
+    """``np.random.SeedSequence(s).generate_state(4, np.uint64)`` for every
+    uint64 seed s, as the rows of an ``(n, 4)`` uint64 array.
+
+    This is numpy's ``mix_entropy`` and ``generate_state`` on a pool of four
+    uint32 words, one vector step for all seeds at a time.  The hash constants
+    do not depend on the data, so they stay Python ints; uint32 arrays wrap
+    silently.
+    """
+    hash_const = _HASH_INIT_A
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = hash_const * _HASH_MULT_A & _MASK32
+        value = value * np.uint32(hash_const)
+        return value ^ (value >> 16)
+
+    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        result = _MIX_MULT_L * x - _MIX_MULT_R * y
+        return result ^ (result >> 16)
+
+    # A seed's entropy is its little-endian uint32 words, and the pool hashes
+    # a zero for each word the entropy lacks, so every seed below 2**64 reads
+    # as (low, high, 0, 0).
+    low = (seeds & _MASK32).astype(np.uint32)
+    zero = np.zeros_like(low)
+    pool = [hashmix(word) for word in (low, (seeds >> 32).astype(np.uint32), zero, zero)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    out = np.empty((len(seeds), 8), np.uint32)
+    hash_const = _HASH_INIT_B
+    for i in range(8):
+        value = pool[i % 4] ^ np.uint32(hash_const)
+        hash_const = hash_const * _HASH_MULT_B & _MASK32
+        value *= np.uint32(hash_const)
+        out[:, i] = value ^ (value >> 16)
+    # Pairs of words are read as little-endian uint64, as generate_state does.
+    return out.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
+
+
+def _pcg64_state(initstate: int, initseq: int) -> tuple[int, int]:
+    """PCG64's ``(state, inc)`` after PCG's srandom step.  PCG64 seeds from
+    ``generate_state`` words w0..w3 with initstate ``w0:w1`` and initseq
+    ``w2:w3``, the first word of each pair the high one."""
+    inc = (initseq << 1 | 1) & _MASK128
+    state = ((initstate + inc) * _PCG64_MULT + inc) & _MASK128
+    return state, inc
+
 
 class ReferenceEncoder:
     """Deterministic offline encoder.
@@ -130,7 +200,10 @@ class ReferenceEncoder:
     count, over lowercase alphanumeric tokens.  The dense vector is a seeded
     random projection of the sparse vector onto ``dim`` dimensions,
     unit-normalized.  The per-term projection directions derive from a stable
-    hash, so identical text encodes identically on every platform and run.
+    hash, so identical text encodes identically on every platform and run:
+    term t's direction is ``default_rng(_term_seed(t)).standard_normal(dim)``.
+    A query draws each new term that way (``_draw``); an index build seeds
+    its whole vocabulary in one pass (``_directions``), to the same bits.
 
     A dense row is summed term by term in the order of its sparse map, from
     zeros, and divided by its own ``np.linalg.norm``; ``_unit_rows`` does this
@@ -164,11 +237,14 @@ class ReferenceEncoder:
             out[token] = out.get(token, 0.0) + weight
         return out
 
-    def _draw(self, term: str, out: np.ndarray | None = None) -> np.ndarray:
-        """``term``'s projection direction, seeded by a stable hash of it."""
+    def _term_seed(self, term: str) -> int:
+        """The 64-bit seed of ``term``'s direction: a stable hash of it."""
         digest = hashlib.sha256(f"{self.seed}:{term}".encode("utf-8")).digest()
-        rng = np.random.default_rng(int.from_bytes(digest[:8], "big"))
-        return rng.standard_normal(self.dim, out=out)
+        return int.from_bytes(digest[:8], "big")
+
+    def _draw(self, term: str) -> np.ndarray:
+        """``term``'s projection direction, the reference ``_directions`` matches."""
+        return np.random.default_rng(self._term_seed(term)).standard_normal(self.dim)
 
     def _term_direction(self, term: str) -> np.ndarray:
         cached = self._term_cache.get(term)
@@ -179,10 +255,30 @@ class ReferenceEncoder:
         return cached
 
     def _directions(self, terms: list[str]) -> np.ndarray:
-        """A ``(len(terms), dim)`` matrix of fresh directions, one draw per term."""
+        """A ``(len(terms), dim)`` matrix whose row i is ``_draw(terms[i])``.
+
+        All seeds go through ``SeedSequence`` at once; each row then loads
+        its PCG64 state into one generator, made here and never shared.
+        """
+        seeds = np.fromiter(map(self._term_seed, terms), np.uint64, len(terms))
         directions = np.empty((len(terms), self.dim))
-        for row, term in zip(directions, terms):
-            self._draw(term, out=row)
+        bit_generator = np.random.PCG64()
+        normal = np.random.Generator(bit_generator).standard_normal
+        # Row i of the words is term i's initstate and initseq, each 16 bytes
+        # big-endian; read one pair at a time, they cost no list of ints.
+        packed = _seed_sequence_words(seeds).astype(">u8").tobytes()
+        for row, at in zip(directions, range(0, len(packed), 32)):
+            state, inc = _pcg64_state(
+                int.from_bytes(packed[at : at + 16], "big"),
+                int.from_bytes(packed[at + 16 : at + 32], "big"),
+            )
+            bit_generator.state = {
+                "bit_generator": "PCG64",
+                "state": {"state": state, "inc": inc},
+                "has_uint32": 0,
+                "uinteger": 0,
+            }
+            normal(self.dim, out=row)
         return directions
 
     def _unit_rows(

@@ -272,6 +272,37 @@ def test_analyze_runs_offline_and_is_deterministic(tmp_path, kb_path, dataset_pa
     assert "elapsed_s" in runinfo and runinfo["config_fingerprint"]
 
 
+def test_failed_judgments_exit_3_through_the_summary(tmp_path, kb_path, dataset_path, capsys):
+    # The script answers the query and explanation prompts only, and has no
+    # default, so every judgment call fails and every function is recorded
+    # as a failure; that is the one way ``analyze`` exits 3.
+    script_path = tmp_path / "script.json"
+    script = {
+        "rules": [
+            {
+                "match": "identify at most two possible vulnerability types",
+                "response": "Query 1: out-of-bounds write\nQuery 2: N/A",
+            },
+            {
+                "match": "summarize its observable functional behavior",
+                "response": "The function copies bytes.",
+            },
+        ]
+    }
+    script_path.write_text(json.dumps(script), encoding="utf-8")
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"llm": {"script_path": str(script_path)}}), encoding="utf-8")
+    out = tmp_path / "v.jsonl"
+    argv = ["analyze", "--input", str(dataset_path), "--kb", str(kb_path), "--out", str(out)]
+    assert main(argv + ["--config", str(config_path)]) == 3
+    summary = json.loads((tmp_path / "v.jsonl.runinfo.json").read_text())
+    assert [f["id"] for f in summary["failures"]] == ["copy_bytes", "safe_add"]
+    verdicts = load_verdicts(out)
+    assert all(v.label is None and v.error for v in verdicts.values())
+    err = capsys.readouterr().err
+    assert "judgment failed for copy_bytes" in err and "backend error" not in err
+
+
 def test_analyze_missing_kb_is_data_error(tmp_path, dataset_path, capsys):
     rc = main(
         [

@@ -7,6 +7,8 @@ import json
 import math
 import random
 import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -422,7 +424,7 @@ def test_randomized_corpora_match_brute_force():
 
 
 @pytest.fixture(scope="module")
-def bench_index(tmp_path_factory):
+def bench_entries(tmp_path_factory):
     """The benchmark's 1000-entry synthetic corpus, read as the benchmark reads it."""
     rows = workloads.cwe_csv_rows(901)
     path = tmp_path_factory.mktemp("corpus") / "cwe.csv"
@@ -430,7 +432,12 @@ def bench_index(tmp_path_factory):
         writer = csv.DictWriter(handle, fieldnames=list(rows[0]))
         writer.writeheader()
         writer.writerows(rows)
-    return build_knowledge_base(load_cwe_corpus(path))
+    return load_cwe_corpus(path)
+
+
+@pytest.fixture(scope="module")
+def bench_index(bench_entries):
+    return build_knowledge_base(bench_entries)
 
 
 def bench_queries() -> list[str]:
@@ -540,15 +547,94 @@ def test_built_rows_and_dense_equal_a_term_by_term_loop(dim, passages):
 
 def test_build_draws_each_vocabulary_term_once(monkeypatch):
     # More distinct terms than the query cache holds, with the first terms
-    # repeated after it would have been emptied.
+    # repeated after it would have been emptied.  The build seeds the whole
+    # vocabulary in one batch and never takes the per-term query path.
     chunks = [" ".join(f"fresh{i}" for i in range(s, s + 500)) for s in range(0, 17_000, 500)]
     entries = [KnowledgeEntry(f"CWE-{i}", f"buffer overflow {c}", "") for i, c in enumerate(chunks)]
-    seeds = []
-    draw = np.random.default_rng
-    monkeypatch.setattr(np.random, "default_rng", lambda seed: seeds.append(seed) or draw(seed))
-    index = build_knowledge_base(entries)
+    encoder = ReferenceEncoder()
+    batches = []
+    directions = ReferenceEncoder._directions
+    monkeypatch.setattr(
+        ReferenceEncoder,
+        "_directions",
+        lambda self, terms: batches.append(list(terms)) or directions(self, terms),
+    )
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the build drew a term one at a time")
+
+    monkeypatch.setattr(ReferenceEncoder, "_draw", refuse)
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    index = build_knowledge_base(entries, encoder)
     assert len(index.terms) == 17_002 > knowledge._TERM_CACHE_LIMIT
-    assert len(seeds) == len(index.terms)
+    assert batches == [index.terms]
+    assert encoder._term_cache == {}
+
+
+def test_seeding_matches_numpys_seed_sequence_and_pcg64():
+    # Seeds of one and two entropy words, at both ends of each, then random ones.
+    rng = random.Random("seed-words")
+    seeds = [0, 1, 2**32 - 1, 2**32, 2**64 - 1] + [rng.getrandbits(64) for _ in range(2000)]
+    words = knowledge._seed_sequence_words(np.array(seeds, dtype=np.uint64))
+    assert words.shape == (len(seeds), 4) and words.dtype == np.uint64
+    for seed, row in zip(seeds, words.tolist()):
+        assert row == np.random.SeedSequence(seed).generate_state(4, np.uint64).tolist(), seed
+        state = np.random.PCG64(seed).state["state"]
+        initstate, initseq = row[0] << 64 | row[1], row[2] << 64 | row[3]
+        assert knowledge._pcg64_state(initstate, initseq) == (state["state"], state["inc"]), seed
+
+
+def test_batch_directions_are_the_single_draws():
+    terms = ["", "buffer", "naïve", "überlauf", "缓冲区溢出", "x" * 300, "free", "buffer"]
+    for dim, seed in ((64, 0), (1, 7), (5, -3)):
+        encoder = ReferenceEncoder(dim=dim, seed=seed)
+        batch = encoder._directions(terms)
+        assert batch.shape == (len(terms), dim)
+        for row, term in zip(batch, terms):
+            assert row.tobytes() == encoder._draw(term).tobytes(), (dim, seed, term)
+    assert ReferenceEncoder()._directions([]).shape == (0, 64)
+
+
+def test_concurrent_builds_and_queries_share_one_encoder(tmp_path, bench_entries):
+    # Builds and query encodings on one encoder at once; a generator or a
+    # buffer shared between them would mix their draws.
+    encoder = ReferenceEncoder()
+    queries = bench_queries()
+    expected = [ReferenceEncoder().dense(q).tobytes() for q in queries]
+    builders, encoders = 4, 2
+    start = threading.Barrier(builders + encoders)
+    done = threading.Event()
+
+    def build() -> KnowledgeIndex:
+        start.wait(timeout=60)
+        return build_knowledge_base(bench_entries, encoder)
+
+    def encode() -> None:
+        start.wait(timeout=60)
+        while True:  # at least one pass, then until every build is done
+            for query, want in zip(queries, expected):
+                assert encoder.encode(query)[0].tobytes() == want, query
+            if done.is_set():
+                return
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-4)  # switch threads often, mid-build
+    try:
+        with ThreadPoolExecutor(max_workers=builders + encoders) as pool:
+            encoding = [pool.submit(encode) for _ in range(encoders)]
+            building = [pool.submit(build) for _ in range(builders)]
+            try:
+                indexes = [future.result(timeout=120) for future in building]
+            finally:
+                done.set()
+            for future in encoding:
+                future.result(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    for slot, index in enumerate(indexes):
+        path = tmp_path / f"kb{slot}.idx"
+        index.save(path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == BENCH_INDEX_SHA256, slot
 
 
 def test_term_cache_stays_bounded_and_exact():
