@@ -7,6 +7,11 @@ rejected input ``SourceSyntaxError``.  Called near the top of the stack,
 refuses 139 and 248; a deeper caller lowers both limits, by one ``if`` per
 seven frames and one term per four.
 
+pycparser's parser reads its tokens from ``_FastLexer``, which lexes
+identifiers, keywords, plain decimal integers and most punctuators with one
+regex match; its tokens equal ``CLexer``'s, token for token, and every other
+token is ``CLexer``'s own work.
+
 The abstract syntax tree is a lowering of pycparser's concrete tree onto a
 small set of semantic node kinds; grammar plumbing (blocks, lists, and type
 syntax such as ``TypeDecl`` and ``PtrDecl``) is spliced away at lowering, its
@@ -51,6 +56,7 @@ import re
 from dataclasses import dataclass, field
 
 from pycparser import CParser, c_ast, c_generator
+from pycparser.c_lexer import CLexer, _fixed_tokens, _keyword_map, _Token
 
 from .errors import SourceSyntaxError, SourceTooDeepError, UnsupportedLanguageError
 
@@ -222,14 +228,83 @@ _HEADER_TYPEDEFS = dict.fromkeys(
 )
 
 
+# Blanks and newlines, then at most one of the three token shapes that make up
+# most of a C body, each where ``CLexer`` would lex exactly the same token: an
+# identifier or keyword (not a prefix of a longer one, nor of a ``L"..."``-style
+# literal), a decimal integer without suffix, exponent or fraction, and a
+# punctuator that no comment, float or ellipsis can begin, longest first.
+# Group 1 ends at the last newline skipped.
+_FAST_TOKEN_RE = re.compile(
+    r"((?:[ \t]*\n)*)[ \t]*(?:"
+    r"(?P<ID>[A-Za-z_$][0-9A-Za-z_$]*)(?![0-9A-Za-z_$'\"])"
+    r"|(?P<INT_CONST_DEC>[1-9][0-9]*)(?![0-9A-Za-z_$.'])"
+    r"|(?P<FIXED>"
+    + "|".join(
+        re.escape(fixed.literal)
+        for fixed in sorted(_fixed_tokens, key=lambda fixed: -len(fixed.literal))
+        if fixed.literal[0] not in "/."
+    )
+    + "))?"
+)
+# Keywords and punctuators by their text; no identifier is a punctuator.
+_FIXED_TYPES = {**_keyword_map, **{fixed.literal: fixed.tok_type for fixed in _fixed_tokens}}
+
+
+class _FastLexer(CLexer):
+    """``CLexer`` with identifiers, plain decimal integers and most
+    punctuators lexed by one regex match.
+
+    The tokens, their lines and columns, and the brace callbacks are
+    ``CLexer``'s own, token for token; every other token is lexed by
+    ``CLexer``'s own code.  Lexing stays lazy: ``TYPEID`` depends on the
+    scopes the parser and the brace callbacks keep.
+    """
+
+    def token(self):
+        if self._pending_tok is not None:
+            return super().token()
+        text = self._lexdata
+        m = _FAST_TOKEN_RE.match(text, self._pos)
+        line_start = m.end(1)
+        if line_start != self._pos:
+            self._lineno += text.count("\n", self._pos, line_start)
+            self._line_start = line_start
+        tok_type = m.lastgroup
+        if tok_type is None:
+            # Past the blanks ``CLexer.token`` would skip.  Its
+            # ``_match_token`` is called from here, as ``CLexer.token`` calls
+            # it, so a token lexes no deeper than under ``CLexer``; only a
+            # directive and the token after it, a pending pragma string, the
+            # token after an error and the end of input take one frame more.
+            self._pos = m.end()
+            if self._pos < len(text) and text[self._pos] != "#" and (tok := self._match_token()) is not None:
+                return tok
+            return super().token()
+        start, self._pos = m.span(tok_type)
+        value = text[start : self._pos]
+        if tok_type != "INT_CONST_DEC":
+            tok_type = _FIXED_TYPES.get(value, "ID")
+            if tok_type == "ID" and self.type_lookup_func(value):
+                tok_type = "TYPEID"
+            elif tok_type == "LBRACE":
+                self.on_lbrace_func()
+            elif tok_type == "RBRACE":
+                self.on_rbrace_func()
+        return _Token(tok_type, value, self._lineno, start - self._line_start + 1)
+
+
 class _HeaderTypedefParser(CParser):
-    """A ``CParser`` whose file scope starts with ``_HEADER_TYPEDEFS`` declared.
+    """A ``CParser`` whose file scope starts with ``_HEADER_TYPEDEFS`` declared,
+    lexed by ``_FastLexer``.
 
     ``CParser.parse`` resets the scope stack and then parses the translation
     unit; seeding the file scope there gives the scope a typedef prologue
     would leave, without lexing and parsing one on every call.  A file-scope
     redeclaration of one of the names is still an error.
     """
+
+    def __init__(self, lexer=_FastLexer):
+        super().__init__(lexer=lexer)
 
     def _parse_translation_unit_or_empty(self):
         self._scope_stack[0].update(_HEADER_TYPEDEFS)
@@ -286,7 +361,9 @@ def _parse_c(fn: SourceFunction) -> GraphBundle:
         unit = _HeaderTypedefParser().parse(fn.code, filename=_safe_name(fn.id))
     except RecursionError:
         raise  # ``parse`` maps it, from here or any later walk, to SourceTooDeepError
-    except Exception as exc:  # pycparser raises plyparser.ParseError
+    except Exception as exc:
+        # pycparser raises ``c_parser.ParseError``, and ``AttributeError`` on
+        # some malformed declarations (``enum {A} enum {A};`` in a body).
         message = str(exc)
         match = _PARSE_ERROR_RE.search(message)
         line = int(match.group(1)) if match else None

@@ -138,3 +138,20 @@ def test_long_expression_is_too_deep_and_degrades_only_its_control_slot(op, form
     assert [(r["record"], r["id"]) for r in records] == [("verdict", fn.id), ("verdict", "copy_bytes")]
     assert records[0]["degraded_paths"] == ["control"]
     assert records[1]["degraded_paths"] == []
+
+
+def test_a_pycparser_attribute_error_is_a_syntax_error_and_degrades_only_its_control_slot(toy_index, tmp_path):
+    # pycparser 3.0 raises AttributeError, not ParseError, on this body, so the
+    # frontend must keep catching more than ParseError.
+    fn = SourceFunction(id="enum-twice", code="int f(int a) { enum {A} enum {A}; }\n")
+    with pytest.raises(SourceSyntaxError) as err:
+        parse(fn)
+    assert err.value.line is None
+    assert isinstance(err.value.__cause__, AttributeError)
+
+    out = tmp_path / "verdicts.jsonl"
+    run_triage([fn, copy_bytes_fn()], toy_index, ScriptedChatClient(rules=scripted_rules()), out)
+    records = _records(out)
+    assert [(r["record"], r["id"]) for r in records] == [("verdict", fn.id), ("verdict", "copy_bytes")]
+    assert records[0]["degraded_paths"] == ["control"]
+    assert records[1]["degraded_paths"] == []
