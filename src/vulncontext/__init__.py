@@ -12,10 +12,8 @@ __version__ = "0.1.0"
 from .errors import (  # noqa: F401
     CorpusFormatError,
     DatasetFormatError,
-    EmptyCorpusError,
     LlmError,
     MissingPredictionError,
-    QueryParseError,
     SourceSyntaxError,
     SourceTooDeepError,
     TriageError,

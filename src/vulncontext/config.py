@@ -129,6 +129,11 @@ def _set(target, key: str, value, source: str, name: str) -> None:
         fits = value is None or isinstance(value, str)
     elif isinstance(default, float):
         fits = isinstance(value, (int, float)) and not isinstance(value, bool)
+        if fits:
+            try:
+                value = float(value)  # so that 1 and 1.0 fingerprint alike
+            except OverflowError:  # an integer past the largest float
+                fits = False
     else:
         fits = type(value) is type(default)
     if not fits:

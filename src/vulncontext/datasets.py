@@ -160,14 +160,20 @@ def parse_verdicts(data: bytes, path: str | Path) -> dict[str, Verdict]:
         parse_failure = record.get("parse_failure", False)
         if type(parse_failure) is not bool:
             raise DatasetFormatError(f"{path}: verdict parse_failure must be true or false")
+        hashes = record.get("prompt_hashes", {})
+        if not (isinstance(hashes, dict) and set(map(type, hashes.values())) <= {str}):
+            raise DatasetFormatError(f"{path}: verdict prompt_hashes must be an object of strings")
+        error = record.get("error")
+        if not (error is None or isinstance(error, str)):
+            raise DatasetFormatError(f"{path}: verdict error must be a string or null")
         try:
             verdict = Verdict(
                 id=str(record["id"]),
                 label=record.get("label"),
                 degraded_paths=frozenset(degraded),
                 parse_failure=parse_failure,
-                prompt_hashes=dict(record.get("prompt_hashes", {})),
-                error=record.get("error"),
+                prompt_hashes=hashes,
+                error=error,
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise DatasetFormatError(f"{path}: bad verdict record: {exc!r}") from exc

@@ -32,14 +32,6 @@ class CorpusFormatError(VulnContextError):
     """The knowledge corpus export could not be parsed."""
 
 
-class EmptyCorpusError(VulnContextError):
-    """Retrieval was attempted against an index with no entries."""
-
-
-class QueryParseError(VulnContextError):
-    """No retrieval query lines could be parsed from a model response."""
-
-
 class LlmError(VulnContextError):
     """Base class for chat-completion failures."""
 

@@ -54,7 +54,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CorpusFormatError, EmptyCorpusError, QueryParseError
+from .errors import CorpusFormatError
 from .graphs import SourceFunction
 from .llm import ChatClient, ChatRequest
 from .prompts import fill_query_prompt
@@ -430,7 +430,11 @@ def _pick_column(row: dict, candidates: tuple[str, ...]) -> str | None:
 
 
 def _load_cwe_csv(text: str) -> list[KnowledgeEntry]:
-    reader = csv.DictReader(text.splitlines())
+    # csv keeps a line break inside a quoted field only if the line it reads
+    # ends with one.  ``read_text`` has turned every line ending into "\n";
+    # str.splitlines would also split at form feeds and U+2028, and
+    # io.StringIO would copy the text into a buffer of 4 bytes a character.
+    reader = csv.DictReader(line + "\n" for line in text.split("\n"))
     if reader.fieldnames is None:
         raise CorpusFormatError("CSV export has no header row")
     entries: list[KnowledgeEntry] = []
@@ -491,6 +495,7 @@ class KnowledgeIndex:
     ``offsets[i]:offsets[i + 1]``, in the order the encoder produced them.
     ``encoder`` built the passages and encodes every query; the index file
     stores its spec and fingerprint, and ``load`` rebuilds it from them.
+    An index holds at least one entry, however it is made.
     """
 
     entries: list[KnowledgeEntry]
@@ -509,6 +514,8 @@ class KnowledgeIndex:
     _posting_weights: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
+        if not self.entries:
+            raise CorpusFormatError("the knowledge index has no entries to retrieve from")
         self._term_ids = dict(zip(self.terms, range(len(self.terms))))
         n = len(self.entries)
         entry_of = np.repeat(np.arange(n), np.diff(self.offsets))
@@ -539,14 +546,12 @@ class KnowledgeIndex:
         alpha: float = DEFAULT_ALPHA,
     ) -> list[tuple[KnowledgeEntry, float]]:
         """The k best entries by ``hybrid_score``; descending score, CWE id breaks ties."""
-        if not self.entries:
-            raise EmptyCorpusError("cannot retrieve from an empty index")
+        if k < 1:
+            raise ValueError("k must be at least 1")
         if not 0.0 <= alpha <= 1.0:
             raise ValueError("alpha must lie in [0, 1]")
         text = query.text if isinstance(query, RetrievalQuery) else query
         q_dense, q_sparse = self.encoder.encode(text)
-        if k <= 0:
-            return []
         overlap = np.zeros(len(self.entries))
         for term in sorted(q_sparse):  # hybrid_score's summation order
             tid = self._term_ids.get(term)
@@ -651,8 +656,6 @@ class KnowledgeIndex:
         entries = _index_entries(header.get("entries"))
         if entries is None:
             raise CorpusFormatError(f"index {path}: entries must be objects with string fields")
-        if not entries:  # nothing to retrieve, as ``build-kb`` refuses an empty corpus
-            raise CorpusFormatError(f"index {path} holds no entries")
         terms = header.get("terms")
         if not (isinstance(terms, list) and set(map(type, terms)) <= {str}):
             raise CorpusFormatError(f"index {path}: terms must be a list of strings")
@@ -761,16 +764,17 @@ _QUERY_LINE_RE = re.compile(r"^\s*Query\s*([12])\s*:\s*(.+?)\s*$", re.IGNORECASE
 
 
 def parse_query_response(text: str) -> list[RetrievalQuery]:
-    """Extract the 'Query 1:' / 'Query 2:' lines; N/A entries are dropped."""
+    """Extract the 'Query 1:' / 'Query 2:' lines; N/A entries are dropped.
+
+    A response with no such line gives the generic fallback query.
+    """
     queries: list[RetrievalQuery] = []
     for match in _QUERY_LINE_RE.finditer(text or ""):
         candidate = match.group(2).strip()
         if not candidate or candidate.rstrip(".").upper() == "N/A":
             continue
         queries.append(RetrievalQuery(text=candidate, kind="predicted"))
-    if not queries:
-        raise QueryParseError("no query lines found in model response")
-    return queries[:2]
+    return queries[:2] or [RetrievalQuery(text=FALLBACK_QUERY_TEXT, kind="fallback")]
 
 
 def generate_queries(fn: SourceFunction, llm: ChatClient) -> list[RetrievalQuery]:
@@ -781,10 +785,7 @@ def generate_queries(fn: SourceFunction, llm: ChatClient) -> list[RetrievalQuery
     """
     prompt = fill_query_prompt(fn.code)
     response = llm.complete(ChatRequest(prompt=prompt, tag=f"{fn.id}:query"))
-    try:
-        return parse_query_response(response.text)
-    except QueryParseError:
-        return [RetrievalQuery(text=FALLBACK_QUERY_TEXT, kind="fallback")]
+    return parse_query_response(response.text)
 
 
 def assemble_knowledge(
@@ -797,6 +798,8 @@ def assemble_knowledge(
     entry's name, description, and example, with the example cut to
     ``DEFAULT_EXAMPLE_CHAR_BUDGET`` characters.
     """
+    if max_entries < 1:
+        raise ValueError("max_entries must be at least 1")
     chosen: list[KnowledgeEntry] = []
     seen: set[str] = set()
     for ranking in results_per_query:

@@ -22,7 +22,6 @@ from pathlib import Path
 
 from .datasets import Verdict, jsonl_line, open_output, parse_verdicts, verdict_record
 from .errors import (
-    EmptyCorpusError,
     LlmError,
     SourceSyntaxError,
     TriageError,
@@ -96,9 +95,6 @@ def parse_verdict(text: str, fn_id: str = "") -> Verdict:
     return Verdict(fn_id, label)
 
 
-_KNOWLEDGE_FAILURES = (LlmError, EmptyCorpusError)
-
-
 # Helper threads for the query and explanation calls.  A ThreadPoolExecutor
 # hands work to an idle thread and starts a thread only when every one is
 # busy; with no practical cap it holds at most two threads per concurrent
@@ -158,14 +154,9 @@ def triage(
             degraded.add("knowledge")
         else:
             try:
-                queries = query_call.result()
-                rankings = [index.retrieve_top_k(q, k=k, alpha=alpha) for q in queries]
-                context = assemble_knowledge(rankings, max_entries=max_entries)
-                if context.entries:
-                    knowledge_text = context.text
-                else:
-                    degraded.add("knowledge")
-            except _KNOWLEDGE_FAILURES:
+                rankings = [index.retrieve_top_k(q, k=k, alpha=alpha) for q in query_call.result()]
+                knowledge_text = assemble_knowledge(rankings, max_entries=max_entries).text
+            except LlmError:
                 degraded.add("knowledge")
 
         explanation = explain_call.result()

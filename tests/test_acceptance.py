@@ -350,10 +350,15 @@ def test_criterion_7_degradation_matrix():
     verdict = triage(SourceFunction(id="bad", code="void oops( {"), index, client)
     cases.append(("control", verdict))
 
-    # Knowledge-path fault: an index with no entries to retrieve from.
-    empty_index = build_knowledge_base([])
-    client = ScriptedChatClient(rules=scripted_rules("Verdict: Yes"))
-    verdict = triage(SourceFunction(id="cb", code=ok_code), empty_index, client)
+    # Knowledge-path fault: the retrieval-query call fails.
+    client = ScriptedChatClient(
+        rules=[
+            ("identify at most two possible vulnerability types", LlmTransportError),
+            ("summarize its observable functional behavior", "fine"),
+            ("Return the final prediction", "Verdict: Yes"),
+        ]
+    )
+    verdict = triage(SourceFunction(id="cb", code=ok_code), index, client)
     cases.append(("knowledge", verdict))
 
     # Semantic-path fault: explanation call times out.

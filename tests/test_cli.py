@@ -10,7 +10,8 @@ from fixtures import COPY_BYTES, GOLDEN_T_AST, GOLDEN_T_CFG, GOLDEN_T_DFG
 
 from vulncontext.cli import main
 from vulncontext.datasets import load_functions, load_pairs, load_verdicts
-from vulncontext.errors import DatasetFormatError
+from vulncontext.config import load_config
+from vulncontext.errors import ConfigError, DatasetFormatError
 
 CWE_XML = """<?xml version="1.0"?>
 <Weakness_Catalog xmlns="http://cwe.mitre.org/cwe-7">
@@ -386,7 +387,7 @@ def _pickled_block(header, blocks):
 
 
 def _no_entries(header, blocks):
-    # Well formed, as saving ``build_knowledge_base([])`` writes it, but empty.
+    # Well formed, but with no entries: nothing could be retrieved from it.
     header["entries"], header["terms"] = [], []
     blocks["dense"] = blocks["dense"][:0]
     blocks["offsets"] = blocks["offsets"][:1]
@@ -661,7 +662,15 @@ def test_unknown_verdict_label_is_data_error(tmp_path, dataset_path, capsys, lab
 
 @pytest.mark.parametrize(
     "field, value",
-    [("degraded_paths", "control"), ("degraded_paths", [1]), ("parse_failure", "false"), ("parse_failure", 0)],
+    [
+        ("degraded_paths", "control"),
+        ("degraded_paths", [1]),
+        ("parse_failure", "false"),
+        ("parse_failure", 0),
+        ("prompt_hashes", [["judge", "ab"]]),
+        ("prompt_hashes", {"judge": 5}),
+        ("error", 7),
+    ],
 )
 def test_mistyped_verdict_field_is_data_error(tmp_path, dataset_path, capsys, field, value):
     pairs_path = tmp_path / "pairs.jsonl"
@@ -824,6 +833,19 @@ def test_int_for_float_setting_still_loads(tmp_path, dataset_path):
     assert main(argv + ["--jsonl", "--out", str(out)]) == 0
     meta = json.loads(out.read_text().splitlines()[0])
     assert meta["config"]["alpha"] == 1
+
+
+def test_equal_float_settings_fingerprint_equally(tmp_path):
+    path = tmp_path / "config.json"
+
+    def fingerprint(payload):
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        return load_config(path).fingerprint()
+
+    assert fingerprint({"alpha": 1}) == fingerprint({"alpha": 1.0})
+    assert fingerprint({"llm": {"timeout": 300}}) == load_config().fingerprint()
+    with pytest.raises(ConfigError, match="wrong type"):  # past the largest float
+        fingerprint({"llm": {"timeout": 10**400}})
 
 
 @pytest.mark.parametrize("field", [{"code": 123}, {"language": 7}], ids=["code", "language"])

@@ -23,6 +23,7 @@ from fixtures import (
 
 from vulncontext.datasets import jsonl_line, load_verdicts, verdict_record
 from vulncontext.errors import (
+    CorpusFormatError,
     DatasetFormatError,
     LlmTimeoutError,
     LlmTransportError,
@@ -284,12 +285,11 @@ def test_input_too_deep_to_parse_degrades_control_only(toy_index):
     assert verdict.degraded_paths == frozenset({"control"})
 
 
-def test_empty_index_degrades_knowledge_only(copy_bytes):
-    empty_index = build_knowledge_base([])  # retrieval raises EmptyCorpusError
-    client = ScriptedChatClient(rules=scripted_rules())
-    verdict = triage(copy_bytes, empty_index, client)
-    assert verdict.degraded_paths == frozenset({"knowledge"})
-    assert DEGRADED_KNOWLEDGE in client.call_log[-1].prompt
+def test_empty_index_is_refused_before_triage():
+    # The knowledge slot degrades only without an index or when the query
+    # call fails; an index with nothing to retrieve cannot be built.
+    with pytest.raises(CorpusFormatError, match="no entries"):
+        build_knowledge_base([])
 
 
 def test_explanation_timeout_degrades_semantic_only(copy_bytes, toy_index):
@@ -449,6 +449,25 @@ def test_resume_refuses_a_corrupt_complete_line(tmp_path, toy_index):
     with pytest.raises(DatasetFormatError, match=":3: invalid JSON"):
         run_triage(functions, toy_index, client, out, meta=meta)
     assert out.read_bytes() == corrupt
+    assert client.call_log == []
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("prompt_hashes", [["judge", "ab"]]), ("prompt_hashes", {"judge": 5}), ("error", 7)],
+)
+def test_resume_refuses_a_mistyped_verdict_field(tmp_path, toy_index, field, value):
+    functions = _dataset(3)
+    out = tmp_path / "v.jsonl"
+    meta = {"config_fingerprint": "x"}
+    run_triage(functions[:2], toy_index, ScriptedChatClient(rules=scripted_rules()), out, meta=meta)
+    meta_line, first, second = out.read_bytes().splitlines(keepends=True)
+    damaged = meta_line + jsonl_line({**json.loads(first), field: value}).encode() + second
+    out.write_bytes(damaged)
+    client = ScriptedChatClient(rules=scripted_rules())
+    with pytest.raises(DatasetFormatError, match=field):
+        run_triage(functions, toy_index, client, out, meta=meta)
+    assert out.read_bytes() == damaged
     assert client.call_log == []
 
 
